@@ -14,13 +14,12 @@ outside the converged span (evolve).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
 import sys
 from datetime import datetime, timezone
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .states import (
 )
 
 SCHEMA_VERSION = 1
-THREADS_ENV = "RABI_SPECTRA_THREADS"
 
 _PRESETS = {
     # Coupling sweep at resonance; the two parity chains split as eta grows.
@@ -89,6 +87,17 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _params_dict(params: ModelParams) -> dict:
+    return {"omega": params.omega, "eta": params.eta, "delta": params.delta,
+            "g": params.g, "epsilon": params.epsilon}
+
+
+def _basis_dict(basis: BasisSpec) -> dict:
+    return {"n_start": basis.n_start, "n_step": basis.n_step,
+            "n_max_hard": basis.n_max_hard, "tail_tol": basis.tail_tol,
+            "drift_tol": basis.drift_tol, "levels_requested": basis.levels_requested}
+
+
 def _write_manifest(out_path: str, params: Optional[ModelParams], basis: Optional[BasisSpec],
                     command: str, extra: dict, outputs: List[str]) -> None:
     manifest = {
@@ -100,13 +109,9 @@ def _write_manifest(out_path: str, params: Optional[ModelParams], basis: Optiona
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
     if params is not None:
-        manifest["params"] = {"omega": params.omega, "eta": params.eta, "delta": params.delta,
-                              "g": params.g, "epsilon": params.epsilon}
+        manifest["params"] = _params_dict(params)
     if basis is not None:
-        manifest["basis"] = {"n_start": basis.n_start, "n_step": basis.n_step,
-                             "n_max_hard": basis.n_max_hard, "tail_tol": basis.tail_tol,
-                             "drift_tol": basis.drift_tol,
-                             "levels_requested": basis.levels_requested}
+        manifest["basis"] = _basis_dict(basis)
     manifest.update(extra)
     with open(out_path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -162,14 +167,9 @@ def _spectrum_payload(result: SpectralResult) -> dict:
             },
         })
     params = result.params
-    basis = result.basis
     return {
-        "params": {"omega": params.omega, "eta": params.eta, "delta": params.delta,
-                   "g": params.g, "epsilon": params.epsilon},
-        "basis": {"n_start": basis.n_start, "n_step": basis.n_step,
-                  "n_max_hard": basis.n_max_hard, "tail_tol": basis.tail_tol,
-                  "drift_tol": basis.drift_tol,
-                  "levels_requested": basis.levels_requested},
+        "params": _params_dict(params),
+        "basis": _basis_dict(result.basis),
         "n_final": result.n_final,
         "all_converged": result.all_converged,
         "levels": levels,
@@ -203,6 +203,19 @@ def _spectrum_rows(result: SpectralResult):
     return rows
 
 
+def _solve_or_partial(params: ModelParams, basis: BasisSpec) -> Tuple[SpectralResult, int]:
+    """Solve, or warn and fall back to the partial result with exit code 3."""
+    try:
+        return solve_spectrum(params, basis), 0
+    except ConvergenceFailure as failure:
+        print(f"warning: {failure}", file=sys.stderr)
+        return failure.result, 3
+
+
+def _solve_summary(result: SpectralResult) -> dict:
+    return {"n_final": result.n_final, "converged": [bool(v) for v in result.converged]}
+
+
 _SPECTRUM_HEADER = ("level", "energy", "tail_weight", "drift", "parity", "converged",
                     "rwa_label", "rwa_energy", "gap")
 
@@ -210,34 +223,19 @@ _SPECTRUM_HEADER = ("level", "energy", "tail_weight", "drift", "parity", "conver
 def _cmd_spectrum(args, command: str) -> int:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
-    exit_code = 0
-    try:
-        result = solve_spectrum(params, basis)
-    except ConvergenceFailure as failure:
-        result = failure.result
-        exit_code = 3
-        print(f"warning: {failure}", file=sys.stderr)
+    result, exit_code = _solve_or_partial(params, basis)
     if args.format == "json":
         _write_json(args.out, _spectrum_payload(result))
     else:
         _write_csv(args.out, _SPECTRUM_HEADER, _spectrum_rows(result))
-    _write_manifest(args.out, params, basis, command,
-                    {"n_final": result.n_final,
-                     "converged": [bool(v) for v in result.converged]},
-                    [args.out])
+    _write_manifest(args.out, params, basis, command, _solve_summary(result), [args.out])
     return exit_code
 
 
 def _cmd_compare_rwa(args, command: str) -> int:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
-    exit_code = 0
-    try:
-        result = solve_spectrum(params, basis)
-    except ConvergenceFailure as failure:
-        result = failure.result
-        exit_code = 3
-        print(f"warning: {failure}", file=sys.stderr)
+    result, exit_code = _solve_or_partial(params, basis)
     pairing = _pairing_rows(result)
     if args.format == "json":
         payload = _spectrum_payload(result)
@@ -247,20 +245,21 @@ def _cmd_compare_rwa(args, command: str) -> int:
                  p.nearest_label, p.agrees) for p in pairing]
         _write_csv(args.out, ("level", "energy", "rwa_label", "rwa_energy", "gap",
                               "nearest_label", "agrees"), rows)
-    _write_manifest(args.out, params, basis, command,
-                    {"n_final": result.n_final,
-                     "converged": [bool(v) for v in result.converged]},
-                    [args.out])
+    _write_manifest(args.out, params, basis, command, _solve_summary(result), [args.out])
     return exit_code
 
 
 _SWEEP_HEADER = ("param", "level", "energy", "parity", "rwa_label", "rwa_energy", "gap")
 
 
-def _sweep_point(value: float, args, basis: BasisSpec):
+def _sweep_params(value: float, args) -> ModelParams:
     fixed = {"omega": args.omega, "eta": args.eta, "delta": args.delta}
     fixed[args.param] = value
-    params = validate(ModelParams(omega=fixed["omega"], eta=fixed["eta"], delta=fixed["delta"]))
+    return validate(ModelParams(omega=fixed["omega"], eta=fixed["eta"], delta=fixed["delta"]))
+
+
+def _sweep_point(value: float, args, basis: BasisSpec):
+    params = _sweep_params(value, args)
     try:
         return value, solve_spectrum(params, basis), None
     except ConvergenceFailure as failure:
@@ -286,22 +285,8 @@ def _cmd_sweep(args, command: str) -> int:
     values = np.linspace(args.start, args.stop, args.steps)
     # Validate the whole grid up front so bad flags fail before any work.
     for value in values:
-        fixed = {"omega": args.omega, "eta": args.eta, "delta": args.delta}
-        fixed[args.param] = float(value)
-        validate(ModelParams(omega=fixed["omega"], eta=fixed["eta"], delta=fixed["delta"]))
-
-    try:
-        workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    except ValueError as exc:
-        raise InvalidParam(THREADS_ENV, "must be an integer") from exc
-    if workers < 1:
-        raise InvalidParam(THREADS_ENV, "must be >= 1")
-    points = []
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda v: _sweep_point(float(v), args, basis), values))
-    else:
-        points = [_sweep_point(float(v), args, basis) for v in values]
+        _sweep_params(float(value), args)
+    points = [_sweep_point(float(v), args, basis) for v in values]
 
     with_rwa = args.param == "eta" and args.omega == 1.0
     rows = []
@@ -351,19 +336,12 @@ def _cmd_converge(args, command: str) -> int:
 def _cmd_cat(args, command: str) -> int:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
-    exit_code = 0
-    try:
-        result = solve_spectrum(params, basis)
-    except ConvergenceFailure as failure:
-        result = failure.result
-        exit_code = 3
-        print(f"warning: {failure}", file=sys.stderr)
+    result, exit_code = _solve_or_partial(params, basis)
     ground = eigvec_to_bare(result.coeff_c[0], result.coeff_d[0], params.g).fixed_phase()
     had = hadamard_on_spin(ground).fixed_phase()
     cat = ideal_cat_state(params.g, result.n_final).fixed_phase()
     payload = {
-        "params": {"omega": params.omega, "eta": params.eta, "delta": params.delta,
-                   "g": params.g, "epsilon": params.epsilon},
+        "params": _params_dict(params),
         "n": result.n_final,
         "fidelity": fidelity(had, cat),
         "hadamard_ground_norm": float(np.linalg.norm(had.amps)),
@@ -378,10 +356,7 @@ def _cmd_cat(args, command: str) -> int:
         },
     }
     _write_json(args.out, payload)
-    _write_manifest(args.out, params, basis, command,
-                    {"n_final": result.n_final,
-                     "converged": [bool(v) for v in result.converged]},
-                    [args.out])
+    _write_manifest(args.out, params, basis, command, _solve_summary(result), [args.out])
     return exit_code
 
 
@@ -414,9 +389,8 @@ def _cmd_evolve(args, command: str) -> int:
     rows = [tuple(row) for row in table]
     _write_csv(args.out, ("t", "norm", "energy", "sigma_z", "sigma_x", "n"), rows)
     _write_manifest(args.out, params, basis, command,
-                    {"n_final": result.n_final, "initial": args.initial,
-                     "t_max": args.t_max, "dt": args.dt,
-                     "converged": [bool(v) for v in result.converged]},
+                    {**_solve_summary(result), "initial": args.initial,
+                     "t_max": args.t_max, "dt": args.dt},
                     [args.out])
     return 0
 

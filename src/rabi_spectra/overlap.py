@@ -4,16 +4,35 @@ The eigenproblem couples two families of displaced number states, one
 displaced by +g and one by -g. Their mutual overlaps reduce to matrix
 elements of a single displacement by 2g,
 
-    ⟨m|D(β)|n⟩ = sqrt(p!/q!) · base^(q-p) · e^(-|β|²/2) · L_p^(q-p)(|β|²),
+    ⟨m|D(β)|n⟩ = phase · sqrt(p!/q!) · |β|^α · e^(-|β|²/2) · L_p^(α)(|β|²),
 
-with p = min(m, n), q = max(m, n), base = β for m >= n and -β* otherwise,
-and L an associated Laguerre polynomial evaluated by its three-term
-recurrence. This route is numerically stable over the whole working domain
+with p = min(m, n), q = max(m, n), α = q - p and L an associated Laguerre
+polynomial. Everything here reads from one kernel, ``_magnitudes``, which
+runs the Laguerre three-term recurrence upward in p, vectorised across all
+diagonals α at once, and returns the real table of magnitudes. That table
+depends only on |β|², and each entry is computed by the same sequence of
+floating-point operations whatever the table size, so scalar reads agree
+with bulk tables bit for bit and the table at truncation n is exactly the
+leading block of any larger one. The entry points differ only in the phase
+they apply:
+
+* ``displacement_matrix`` and ``displacement_element``: (β/|β|)^α below the
+  diagonal (m >= n) and (-β*/|β|)^α above it, built by repeated
+  multiplication so bases on the real or imaginary axis give exact ±1, ±i;
+* ``overlap_matrix`` and ``displaced_overlap``: the factor (-1)^n on top of
+  D(2g), which for real g is (-1)^min(m, n) when g > 0 and (-1)^max(m, n)
+  when g < 0.
+
+For real g, D(-g) = D(g)ᵀ exactly, so one table serves both directions of
+a basis change.
+
+The recurrence is numerically stable over the whole working domain
 (m, n <= 400, coupling |g| <= 1.5), unlike the textbook alternating
 factorial sum, which cancels catastrophically once m, n and g are large
-(condition number ~1e20 at m = n = 100, g = 1.5). The alternating sum is
-still provided, in log-magnitude/sign form, as an independent cross-check
-path for the regimes where it is well conditioned.
+(condition number ~1e20 at m = n = 100, g = 1.5). The alternating sum stays
+as ``displaced_overlap_series``, in log-magnitude/sign form, because it
+shares no code with the kernel and so serves as an independent cross-check
+where it is well conditioned.
 """
 
 from __future__ import annotations
@@ -35,8 +54,6 @@ __all__ = [
     "overlap_matrix",
 ]
 
-_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
 
 def log_factorial(n: int) -> float:
     """ln(n!) for integer n >= 0, accurate to ~1 ulp up to n = 400 and beyond."""
@@ -45,33 +62,47 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _laguerre_seq(alpha: int, x: float, kmax: int) -> np.ndarray:
-    """L_k^(alpha)(x) for k = 0..kmax by upward three-term recurrence.
+def _magnitudes(r: float, n: int) -> np.ndarray:
+    """Symmetric (n+1) x (n+1) table of |⟨m|D(β)|k⟩| for |β| = r > 0.
 
-    Out-of-range arguments may overflow to inf/nan; callers detect that and
-    signal OverflowError, so the intermediate warnings are suppressed here.
+    Entry (m, k) must take the same floating-point operations for every
+    n >= max(m, k): the bitwise scalar == bulk and nested-truncation
+    guarantees rest on it. Out-of-range arguments overflow to inf/nan;
+    callers detect that and signal OverflowError, so the intermediate
+    warnings are suppressed here.
     """
-    out = np.empty(kmax + 1)
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = 1.0 + alpha - x
+    dim = n + 1
+    x = r * r
+    alpha = np.arange(dim, dtype=float)
+    # lag[p, α] = L_p^(α)(x), filled where p + α <= n
+    lag = np.zeros((dim, dim))
+    lag[0] = 1.0
+    idx = np.arange(dim)
+    low = np.minimum.outer(idx, idx)
+    diag = np.abs(np.subtract.outer(idx, idx))
+    log_fact = np.array([log_factorial(k) for k in range(dim)])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, kmax + 1):
-            out[k] = ((2 * k - 1 + alpha - x) * out[k - 1] - (k - 1 + alpha) * out[k - 2]) / k
-    return out
+        if n >= 1:
+            lag[1, :n] = 1.0 + alpha[:n] - x
+        for p in range(2, dim):
+            a = alpha[:dim - p]
+            lag[p, :dim - p] = ((2 * p - 1 + a - x) * lag[p - 1, :dim - p]
+                                - (p - 1 + a) * lag[p - 2, :dim - p]) / p
+        log_mag = 0.5 * (log_fact[low] - log_fact[low + diag]) - 0.5 * x + diag * math.log(r)
+        return np.exp(log_mag) * lag[low, diag]
 
 
-def _unit_power(base: complex, alpha: int) -> complex:
-    """(base/|base|)^alpha, exact for bases on the real or imaginary axis."""
-    if alpha == 0:
-        return 1.0 + 0.0j
-    re, im = base.real, base.imag
-    if im == 0.0:
-        return complex(1.0 if re > 0 else (-1.0) ** alpha)
-    if re == 0.0:
-        unit = _I_POWERS[alpha % 4]
-        return unit if im > 0 else unit * (-1.0) ** alpha
-    return (base / abs(base)) ** alpha
+def _displacement(beta: complex, n: int) -> np.ndarray:
+    """⟨m|D(β)|k⟩ for β != 0: the magnitude table times the per-diagonal phase."""
+    r = abs(beta)
+    dim = n + 1
+    # phases[n + m - k] is the phase of entry (m, k): (β/r)^(m-k) on and below
+    # the diagonal, (-β*/r)^(k-m) above it.
+    below = np.cumprod(np.concatenate([[1.0 + 0.0j], np.full(n, beta / r)]))
+    above = np.cumprod(np.concatenate([[1.0 + 0.0j], np.full(n, -beta.conjugate() / r)]))
+    phases = np.concatenate([above[:0:-1], below])
+    idx = np.arange(dim)
+    return phases[n + np.subtract.outer(idx, idx)] * _magnitudes(r, n)
 
 
 def displaced_overlap(m: int, n: int, g: float) -> float:
@@ -87,17 +118,9 @@ def displaced_overlap(m: int, n: int, g: float) -> float:
         raise ValueError("g must be finite")
     if g == 0.0:
         return (-1.0) ** m if m == n else 0.0
-    p, q = (m, n) if m <= n else (n, m)
-    alpha = q - p
-    x = 4.0 * g * g
-    lag = _laguerre_seq(alpha, x, p)[p]
-    log_mag = 0.5 * (log_factorial(p) - log_factorial(q)) - 0.5 * x
-    if alpha:
-        log_mag += alpha * math.log(2.0 * abs(g))
-    # base = 2g for m >= n, -2g for m < n; overall factor (-1)^n on top.
-    base_negative = (g < 0.0) != (m < n)
-    sign = (-1.0) ** (n + (alpha if base_negative else 0))
-    value = sign * math.exp(log_mag) * lag
+    value = float(_magnitudes(2.0 * abs(g), max(m, n))[m, n])
+    if (min(m, n) if g > 0.0 else max(m, n)) % 2:
+        value = -value
     if not math.isfinite(value):
         raise OverflowError(f"displaced_overlap({m}, {n}, {g}) is not representable")
     return value
@@ -145,17 +168,6 @@ def overlap_ba(m: int, n: int, g: float) -> float:
     return (-1.0) ** m * displaced_overlap(m, n, g)
 
 
-def _entry(beta: complex, m: int, n: int, lag: float, x: float) -> complex:
-    """Assemble ⟨m|D(β)|n⟩ from a precomputed Laguerre value."""
-    p, q = (m, n) if m <= n else (n, m)
-    alpha = q - p
-    base = beta if m >= n else -beta.conjugate()
-    log_mag = 0.5 * (log_factorial(p) - log_factorial(q)) - 0.5 * x
-    if alpha:
-        log_mag += alpha * math.log(abs(beta))
-    return _unit_power(base, alpha) * math.exp(log_mag) * lag
-
-
 def displacement_element(beta: complex, m: int, n: int) -> complex:
     """Matrix element ⟨m| exp(β a† - β* a) |n⟩ of the displacement operator.
 
@@ -167,10 +179,7 @@ def displacement_element(beta: complex, m: int, n: int) -> complex:
     beta = complex(beta)
     if beta == 0:
         return complex(1.0 if m == n else 0.0)
-    p = min(m, n)
-    x = abs(beta) ** 2
-    lag = _laguerre_seq(abs(m - n), x, p)[p]
-    value = _entry(beta, m, n, lag, x)
+    value = complex(_displacement(beta, max(m, n))[m, n])
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowError(f"displacement_element({beta}, {m}, {n}) is not representable")
     return value
@@ -179,23 +188,12 @@ def displacement_element(beta: complex, m: int, n: int) -> complex:
 def displacement_matrix(beta: complex, n: int) -> np.ndarray:
     """Dense (n+1) x (n+1) matrix of ⟨m| exp(β a† - β* a) |k⟩.
 
-    Entries are bit-identical to individual ``displacement_element`` calls;
-    the bulk version just shares one Laguerre recurrence per diagonal.
+    Entries are bit-identical to individual ``displacement_element`` calls.
     """
     beta = complex(beta)
-    dim = n + 1
-    out = np.zeros((dim, dim), dtype=complex)
     if beta == 0:
-        np.fill_diagonal(out, 1.0)
-        return out
-    x = abs(beta) ** 2
-    for alpha in range(dim):
-        lag = _laguerre_seq(alpha, x, n - alpha)
-        for p in range(dim - alpha):
-            out[p + alpha, p] = _entry(beta, p + alpha, p, lag[p], x)
-            if alpha:
-                out[p, p + alpha] = _entry(beta, p, p + alpha, lag[p], x)
-    return out
+        return np.eye(n + 1, dtype=complex)
+    return _displacement(beta, n)
 
 
 @dataclass(frozen=True)
@@ -218,26 +216,12 @@ def overlap_matrix(n: int, g: float) -> OverlapMatrix:
     """Build the (n+1) x (n+1) overlap table, entry-compatible with ``displaced_overlap``."""
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    dim = n + 1
-    values = np.empty((dim, dim))
+    idx = np.arange(n + 1)
     if g == 0.0:
-        values[:] = 0.0
-        np.fill_diagonal(values, (-1.0) ** np.arange(dim))
-        return OverlapMatrix(g=g, n=n, values=values)
-    x = 4.0 * g * g
-    log_2g = math.log(2.0 * abs(g))
-    for alpha in range(dim):
-        lag = _laguerre_seq(alpha, x, n - alpha)
-        for p in range(dim - alpha):
-            q = p + alpha
-            log_mag = 0.5 * (log_factorial(p) - log_factorial(q)) - 0.5 * x
-            if alpha:
-                log_mag += alpha * log_2g
-            # upper-triangle entry (m=p, n=q) has base -2g, negative when g > 0
-            sign = (-1.0) ** (q + (alpha if g > 0.0 else 0))
-            value = sign * math.exp(log_mag) * lag[p]
-            values[p, q] = value
-            values[q, p] = value
+        return OverlapMatrix(g=g, n=n, values=np.diag((-1.0) ** idx))
+    values = _magnitudes(2.0 * abs(g), n)
+    nearest = np.minimum.outer(idx, idx) if g > 0.0 else np.maximum.outer(idx, idx)
+    values[nearest % 2 == 1] *= -1.0
     if not np.all(np.isfinite(values)):
         raise OverflowError(f"overlap_matrix(n={n}, g={g}) is not representable")
     return OverlapMatrix(g=g, n=n, values=values)

@@ -51,11 +51,24 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of every column positive (real case)."""
-    idx = np.argmax(np.abs(vectors), axis=0)
-    flips = np.where(vectors[idx, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
-    return vectors * flips
+def _certified_eigh(a: np.ndarray, kind: str) -> EigenDecomposition:
+    """Checked ``np.linalg.eigh`` with a fixed eigenvector phase and a certified residual."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError("expected a square matrix of dimension >= 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    if not np.array_equal(a, a.conj().T):
+        raise ValueError(f"matrix must be exactly {kind}")
+    eigenvalues, vectors = np.linalg.eigh(a)
+    # Rotate each column so its largest-magnitude component is real positive;
+    # for real input this is a sign flip.
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(a.shape[0])]
+    vectors = vectors * (np.abs(pivots) / pivots)
+    residual = float(np.max(np.linalg.norm(a @ vectors - vectors * eigenvalues, axis=0)))
+    bound = 1e-9 * (1.0 + float(np.max(np.abs(eigenvalues))))
+    if residual > bound:
+        raise NoConvergence(f"residual {residual:.3e} exceeds certified bound {bound:.3e}")
+    return EigenDecomposition(eigenvalues, vectors, residual)
 
 
 def eigh_symmetric(matrix: np.ndarray) -> EigenDecomposition:
@@ -66,66 +79,18 @@ def eigh_symmetric(matrix: np.ndarray) -> EigenDecomposition:
     max_i ‖A v_i - λ_i v_i‖ is computed and certified against
     1e-9 · (1 + max|λ|).
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError("expected a square matrix of dimension >= 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix must be exactly symmetric")
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    eigenvectors = _fix_signs(eigenvectors)
-    residual = float(np.max(np.linalg.norm(a @ eigenvectors - eigenvectors * eigenvalues, axis=0)))
-    bound = 1e-9 * (1.0 + float(np.max(np.abs(eigenvalues))))
-    if residual > bound:
-        raise NoConvergence(f"residual {residual:.3e} exceeds certified bound {bound:.3e}")
-    return EigenDecomposition(eigenvalues, eigenvectors, residual)
+    return _certified_eigh(np.asarray(matrix, dtype=float), "symmetric")
 
 
 def eigh_hermitian(matrix: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a complex Hermitian matrix.
+    """Full eigendecomposition of an exactly Hermitian complex matrix.
 
-    Reduced to a real symmetric problem of doubled dimension through the
-    standard [[Re, -Im], [Im, Re]] embedding; every eigenvalue of the
-    embedding appears twice and is deduplicated. Degenerate complex
-    eigenvectors are re-orthonormalized, and each column's global phase is
-    fixed so its largest-magnitude component is real positive.
+    Eigenvalues ascending; eigenvectors orthonormal, also inside degenerate
+    clusters; each column's global phase is fixed so its largest-magnitude
+    component is real positive. The residual is certified as in
+    :func:`eigh_symmetric`.
     """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError("expected a square matrix of dimension >= 1")
-    if not np.array_equal(a, a.conj().T):
-        raise ValueError("matrix must be exactly Hermitian")
-    dim = a.shape[0]
-    embedded = np.zeros((2 * dim, 2 * dim))
-    embedded[:dim, :dim] = a.real
-    embedded[:dim, dim:] = -a.imag
-    embedded[dim:, :dim] = a.imag
-    embedded[dim:, dim:] = a.real
-    pair_dec = eigh_symmetric(embedded)
-    eigenvalues = 0.5 * (pair_dec.eigenvalues[0::2] + pair_dec.eigenvalues[1::2])
-    # Each complex eigenvector appears twice in the embedding (as v and iv),
-    # so a degenerate cluster of m complex levels spans 2m real columns whose
-    # complex images have rank exactly m; the SVD extracts an orthonormal
-    # basis of that span.
-    scale = 1.0 + float(np.max(np.abs(eigenvalues)))
-    vectors = np.empty((dim, dim), dtype=complex)
-    start = 0
-    for stop in range(1, dim + 1):
-        if stop == dim or eigenvalues[stop] - eigenvalues[start] > 1e-12 * scale:
-            block = (pair_dec.eigenvectors[:dim, 2 * start:2 * stop]
-                     + 1j * pair_dec.eigenvectors[dim:, 2 * start:2 * stop])
-            left, _, _ = np.linalg.svd(block, full_matrices=False)
-            vectors[:, start:stop] = left[:, :stop - start]
-            start = stop
-    idx = np.argmax(np.abs(vectors), axis=0)
-    pivots = vectors[idx, np.arange(dim)]
-    vectors = vectors * (np.abs(pivots) / pivots)
-    residual = float(np.max(np.linalg.norm(a @ vectors - vectors * eigenvalues, axis=0)))
-    bound = 1e-9 * (1.0 + float(np.max(np.abs(eigenvalues))))
-    if residual > bound:
-        raise NoConvergence(f"residual {residual:.3e} exceeds certified bound {bound:.3e}")
-    return EigenDecomposition(eigenvalues, vectors, residual)
+    return _certified_eigh(np.asarray(matrix, dtype=complex), "Hermitian")
 
 
 @dataclass(frozen=True)
@@ -281,13 +246,11 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
 
 
 def _bulk_parities(c: np.ndarray, d: np.ndarray, g: float) -> np.ndarray:
-    """Bare-basis parity of many coefficient rows, sharing one pair of basis changes."""
-    from .overlap import displacement_matrix
-
-    n = c.shape[1] - 1
-    bare_c = c @ displacement_matrix(-g, n).real.T
-    bare_d = d @ displacement_matrix(+g, n).real.T
-    signs = (-1.0) ** np.arange(n + 1)
+    """Bare-basis parity of many coefficient rows, sharing one basis change."""
+    to_bare_c, to_bare_d = _states.displaced_to_bare(g, c.shape[1] - 1)
+    bare_c = c @ to_bare_c.T
+    bare_d = d @ to_bare_d.T
+    signs = (-1.0) ** np.arange(c.shape[1])
     return 2.0 * np.sum(signs[None, :] * bare_c * bare_d, axis=1)
 
 

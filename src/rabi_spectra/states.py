@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, FrameMismatch, IncompleteBasis, NormLoss
 from .hamiltonian import build_bare_rabi_hamiltonian, build_U_matrix, build_V_matrix
-from .overlap import displacement_element, displacement_matrix
+from .overlap import displacement_matrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SpectralResult
@@ -109,6 +109,17 @@ def basis_state(k: int, spin: str, n: int, frame: Frame = Frame.WORKING) -> Quan
     return QuantumState(amps, frame)
 
 
+def displaced_to_bare(g: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Basis changes from the two displaced blocks to the bare number basis.
+
+    Returns (D(-g), D(+g)) truncated to n: the +g-displaced block maps to
+    bare rows through ⟨k|D(-g)|m⟩ and the -g-displaced block through
+    ⟨k|D(+g)|m⟩. For real g, D(-g) = D(g)ᵀ exactly, so one table is built.
+    """
+    to_bare_d = np.ascontiguousarray(displacement_matrix(g, n).real)
+    return to_bare_d.T, to_bare_d
+
+
 def eigvec_to_bare(c: np.ndarray, d: np.ndarray, g: float) -> QuantumState:
     """Convert a displaced-basis coefficient pair to bare amplitudes.
 
@@ -121,10 +132,8 @@ def eigvec_to_bare(c: np.ndarray, d: np.ndarray, g: float) -> QuantumState:
     d = np.asarray(d, dtype=float)
     if c.shape != d.shape or c.ndim != 1:
         raise ValueError("coefficient blocks must be equal-length vectors")
-    n = c.shape[0] - 1
-    to_bare_c = displacement_matrix(-g, n).real
-    to_bare_d = displacement_matrix(+g, n).real
-    amps = np.zeros((n + 1, 2), dtype=complex)
+    to_bare_c, to_bare_d = displaced_to_bare(g, c.shape[0] - 1)
+    amps = np.zeros((c.shape[0], 2), dtype=complex)
     amps[:, _E] = to_bare_c @ c
     amps[:, _G] = to_bare_d @ d
     norm = np.linalg.norm(amps)
@@ -150,8 +159,8 @@ def ideal_cat_state(g: float, n: int) -> QuantumState:
     |g⟩ branch holds only even Fock components and the |e⟩ branch only odd
     ones.
     """
-    plus = np.array([displacement_element(-g, k, 0).real for k in range(n + 1)])
-    minus = np.array([displacement_element(+g, k, 0).real for k in range(n + 1)])
+    to_bare_c, to_bare_d = displaced_to_bare(g, n)
+    plus, minus = to_bare_c[:, 0], to_bare_d[:, 0]
     amps = np.zeros((n + 1, 2), dtype=complex)
     amps[:, _G] = 0.5 * (plus + minus)
     amps[:, _E] = -0.5 * (plus - minus)
@@ -178,8 +187,7 @@ def _bare_eigenbasis(result: "SpectralResult") -> Tuple[np.ndarray, np.ndarray]:
     """All eigenvectors of the converged solve, as bare flat columns."""
     dec = result.decomposition
     dim = result.n_final + 1
-    to_bare_c = displacement_matrix(-result.params.g, result.n_final).real
-    to_bare_d = displacement_matrix(+result.params.g, result.n_final).real
+    to_bare_c, to_bare_d = displaced_to_bare(result.params.g, result.n_final)
     columns = np.empty_like(dec.eigenvectors)
     columns[:dim] = to_bare_c @ dec.eigenvectors[:dim]
     columns[dim:] = to_bare_d @ dec.eigenvectors[dim:]

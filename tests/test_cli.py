@@ -151,17 +151,6 @@ class TestSweep:
         assert code == 2
         assert not os.path.exists(out)
 
-    def test_threaded_run_is_identical(self, tmp_path, monkeypatch):
-        single = str(tmp_path / "one.csv")
-        threaded = str(tmp_path / "two.csv")
-        argv = ["sweep", "--param", "delta", "--from", "-1", "--to", "1",
-                "--steps", "5", "--omega", "1", "--eta", "0.2"]
-        monkeypatch.delenv("RABI_SPECTRA_THREADS", raising=False)
-        run(argv + ["--out", single])
-        monkeypatch.setenv("RABI_SPECTRA_THREADS", "4")
-        run(argv + ["--out", threaded])
-        assert read_bytes(single) == read_bytes(threaded)
-
     def test_no_nans_in_converged_rows(self, tmp_path):
         out = str(tmp_path / "sw.csv")
         run(["sweep", "--param", "eta", "--from", "0", "--to", "0.4",

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from rabi_spectra import (
@@ -272,3 +274,54 @@ class TestExpmOracle:
         ours = np.array([[displaced_overlap(m, n, g) for n in range(31)]
                          for m in range(31)])
         assert np.max(np.abs(ours - block)) < 1e-8
+
+
+_radius = st.floats(min_value=0.0, max_value=3.0, allow_subnormal=False)
+_real_beta = st.builds(lambda r, negative: complex(-r if negative else r), _radius, st.booleans())
+_imag_beta = st.builds(lambda r, negative: complex(0.0, -r if negative else r), _radius, st.booleans())
+_general_beta = st.builds(lambda r, angle: r * complex(math.cos(angle), math.sin(angle)),
+                          _radius, st.floats(min_value=-math.pi, max_value=math.pi))
+_beta = st.one_of(_real_beta, _imag_beta, _general_beta)
+_truncation = st.integers(min_value=0, max_value=80)
+
+
+class TestDisplacementProperties:
+    """Invariants of the displacement table over |β| <= 3 and n <= 80."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=_beta, n=_truncation, data=st.data())
+    def test_matrix_matches_element(self, beta, n, data):
+        mat = displacement_matrix(beta, n)
+        for _ in range(5):
+            m = data.draw(st.integers(min_value=0, max_value=n))
+            k = data.draw(st.integers(min_value=0, max_value=n))
+            assert mat[m, k] == displacement_element(beta, m, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=_radius, n=_truncation)
+    def test_reflection_is_transpose(self, r, n):
+        assert np.array_equal(displacement_matrix(-r, n), displacement_matrix(r, n).T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=_beta, n=_truncation)
+    def test_nested_truncations(self, beta, n):
+        small = displacement_matrix(beta, n)
+        large = displacement_matrix(beta, n + 20)
+        assert np.array_equal(small, large[:n + 1, :n + 1])
+        g = 0.5 * beta.real
+        assert np.array_equal(overlap_matrix(n, g).values,
+                              overlap_matrix(n + 20, g).values[:n + 1, :n + 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=_real_beta, n=_truncation)
+    def test_real_coupling_is_real(self, beta, n):
+        assert np.all(displacement_matrix(beta, n).imag == 0.0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(beta=_beta, n=_truncation)
+    def test_expm_oracle(self, beta, n):
+        # the oracle truncates the generator at 200 quanta, far above the
+        # compared block, so its leading columns are exact to rounding
+        oracle = expm_displacement(beta)
+        mat = displacement_matrix(beta, n)
+        assert np.max(np.abs(mat - oracle[:n + 1, :n + 1])) < 1e-10

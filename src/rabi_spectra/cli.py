@@ -6,9 +6,9 @@ manifest sidecar, never in the data payload. Every data file gets a
 ``<out>.manifest.json`` companion recording the exact parameters,
 convergence status and payload digests.
 
-Exit codes: 0 success, 2 invalid flags or parameters, 3 convergence
-failure (partial results are still written, flagged), 4 initial state
-outside the converged span (evolve).
+Exit codes: 0 success, 2 invalid flags or parameters (an unwritable
+``--out`` included), 3 convergence failure (partial results are still
+written, flagged), 4 initial state outside the converged span (evolve).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -65,18 +66,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write via a temp file and ``os.replace``, so a crash leaves no partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise InvalidParam("out", f"cannot write '{path}': {exc.strerror or exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [f"# schema={SCHEMA_VERSION}", ",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, doc: dict) -> None:
     doc = {"schema": SCHEMA_VERSION, **doc}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path: str) -> str:
@@ -113,9 +125,7 @@ def _write_manifest(out_path: str, params: Optional[ModelParams], basis: Optiona
     if basis is not None:
         manifest["basis"] = _basis_dict(basis)
     manifest.update(extra)
-    with open(out_path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _add_point_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -381,6 +391,8 @@ def _cmd_evolve(args, command: str) -> int:
     basis = _basis_from_args(args)
     if args.t_max <= 0 or args.dt <= 0:
         raise InvalidParam("t_max" if args.t_max <= 0 else "dt", "must be > 0")
+    if not math.isfinite(args.t_max / args.dt):
+        raise InvalidParam("dt", "t_max/dt must be finite")
     result = solve_spectrum(params, basis)
     initial = _initial_state(args.initial, result)
     steps = int(round(args.t_max / args.dt))
@@ -459,16 +471,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = " ".join(argv if argv is not None else sys.argv[1:])
     try:
         return args.func(args, command)
-    except InvalidParam as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except IncompleteBasis as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RabiSpectraError as exc:
+    except (RabiSpectraError, OverflowError) as exc:
+        # OverflowError: a coupling too large for the overlap table to represent.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

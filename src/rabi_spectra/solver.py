@@ -1,5 +1,12 @@
 """Certified eigendecomposition, adaptive truncation, parity and level pairing.
 
+At zero detuning the displaced-basis problem splits exactly into two
+parity sectors, c = p·(-1)^m·d with p = ±1. Each is solved on its own and
+the two are merged by energy (exact ties: parity +1 first), so parity is
+an exact label, not a measured value. Each eigenvector's first
+largest-magnitude entry is made positive; as |c_m| = |d_m| exactly, that
+entry lies in c and its sign comes from the sector solve, not from noise.
+
 Truncation control follows a belt-and-braces rule: a level counts as
 converged only when both its coefficient tail weight (probability in the
 last five basis indices) and its energy drift between successive
@@ -101,6 +108,9 @@ class SpectralResult:
     displaced-block coefficients of level i at truncation ``n_final``.
     ``trace`` records (truncation, lowest-k energies) for every truncation
     visited, which is the raw material for monotonicity checks.
+    ``parities`` holds the exact ±1.0 sector label of each level at zero
+    detuning, where ``coeff_c[i] == parities[i] * (-1)^m * coeff_d[i]``
+    holds bitwise, and is None otherwise.
     ``decomposition`` keeps the full spectrum at ``n_final`` for the
     spectral propagator.
     """
@@ -141,40 +151,29 @@ def _level_slices(dec: EigenDecomposition, k: int) -> Tuple[np.ndarray, np.ndarr
     return dec.eigenvalues[:k].copy(), c, d, tails
 
 
-def _order_degenerate(dec: EigenDecomposition, g: float) -> EigenDecomposition:
-    """Deterministic ordering inside degenerate clusters: parity, then upper-block weight.
-
-    Only relevant at g = 0 where level pairs are exactly degenerate; keeps
-    golden outputs stable across runs and platforms.
-    """
-    w = dec.eigenvalues
-    v = dec.eigenvectors
-    dim = v.shape[0] // 2
-    scale = 1.0 + float(np.max(np.abs(w)))
-    order = np.arange(w.shape[0])
-    start = 0
-    for stop in range(1, w.shape[0] + 1):
-        if stop == w.shape[0] or w[stop] - w[start] > 1e-12 * scale:
-            if stop - start > 1:
-                signs = (-1.0) ** np.arange(dim)
-                keys = []
-                for j in range(start, stop):
-                    c, d = v[:dim, j], v[dim:, j]
-                    parity = 2.0 * np.sum(signs * c * d)  # bare-basis parity at g = 0
-                    keys.append((-round(parity, 6), -round(float(np.sum(c * c)), 9), j))
-                order[start:stop] = [j for _, _, j in sorted(keys)]
-            start = stop
-    if np.array_equal(order, np.arange(w.shape[0])):
-        return dec
-    return EigenDecomposition(w[order].copy(), v[:, order].copy(), dec.residual_norm)
-
-
 def _solve_at(params: ModelParams, n: int, k: int):
-    dec = eigh_symmetric(build_displaced_hamiltonian(params, n))
-    if params.g == 0.0:
-        dec = _order_degenerate(dec, params.g)
+    h = build_displaced_hamiltonian(params, n)
+    if params.delta != 0.0:
+        dec, parities = eigh_symmetric(h), None
+    else:
+        # Parity sectors: (c, d) = (p·s·u, u)/√2 with s = (-1)^m turns h into
+        # one (n+1)-dimensional problem per parity p.
+        dim = n + 1
+        s = (-1.0) ** np.arange(dim)
+        sectors = [eigh_symmetric(h[:dim, :dim] + p * s[:, None] * h[:dim, dim:])
+                   for p in (1.0, -1.0)]
+        labels = np.repeat([1.0, -1.0], dim)
+        values = np.concatenate([sec.eigenvalues for sec in sectors])
+        u = np.hstack([sec.eigenvectors for sec in sectors])
+        # Exact ties put parity +1 first; |c_m| = |d_m| puts every pivot in c.
+        order = np.lexsort((-labels, values))
+        vectors = (np.vstack([labels * s[:, None] * u, u]) / np.sqrt(2.0))[:, order]
+        pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(2 * dim)]
+        dec = EigenDecomposition(values[order], vectors * np.sign(pivots),
+                                 max(sec.residual_norm for sec in sectors))
+        parities = labels[order][:k]
     energies, c, d, tails = _level_slices(dec, k)
-    return dec, energies, c, d, tails
+    return dec, energies, c, d, tails, parities
 
 
 def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> SpectralResult:
@@ -191,7 +190,7 @@ def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> Sp
     prev_energies: Optional[np.ndarray] = None
     n = basis.n_start
     while True:
-        dec, energies, c, d, tails = _solve_at(params, n, k)
+        dec, energies, c, d, tails, parities = _solve_at(params, n, k)
         if prev_energies is None:
             drifts = np.full(k, np.inf)
         else:
@@ -200,9 +199,6 @@ def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> Sp
         trace.append((n, energies))
         done = bool(np.all(converged))
         if done or n >= basis.n_max_hard:
-            parities = None
-            if params.delta == 0.0:
-                parities = _bulk_parities(c, d, params.g)
             result = SpectralResult(
                 params=params, basis=basis, n_final=n, energies=energies,
                 coeff_c=c, coeff_d=d, tail_weights=tails, drifts=drifts,
@@ -236,22 +232,13 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
     rows = []
     prev = None
     for n in n_list:
-        _, energies, _, _, tails = _solve_at(params, n, levels)
+        _, energies, _, _, tails, _ = _solve_at(params, n, levels)
         for i in range(levels):
             drift = None if prev is None else abs(energies[i] - prev[i])
             rows.append({"n": n, "level": i, "energy": float(energies[i]),
                          "tail_weight": float(tails[i]), "drift": drift})
         prev = energies
     return rows
-
-
-def _bulk_parities(c: np.ndarray, d: np.ndarray, g: float) -> np.ndarray:
-    """Bare-basis parity of many coefficient rows, sharing one basis change."""
-    to_bare_c, to_bare_d = _states.displaced_to_bare(g, c.shape[1] - 1)
-    bare_c = c @ to_bare_c.T
-    bare_d = d @ to_bare_d.T
-    signs = (-1.0) ** np.arange(c.shape[1])
-    return 2.0 * np.sum(signs[None, :] * bare_c * bare_d, axis=1)
 
 
 def parity_expectation(c: np.ndarray, d: np.ndarray, params: ModelParams) -> float:

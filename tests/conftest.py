@@ -1,8 +1,13 @@
 import functools
 
 import pytest
+from hypothesis import settings
 
 from rabi_spectra import BasisSpec, ModelParams, solve_spectrum, validate
+
+# Property tests draw the same examples on every run and are never timed out.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 @functools.lru_cache(maxsize=None)

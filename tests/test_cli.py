@@ -2,9 +2,12 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabi_spectra.cli import main
 
@@ -253,3 +256,58 @@ class TestEvolve:
                     "--t-max", "1", "--dt", "0.5", "--initial", "banana",
                     "--out", out])
         assert code == 2
+
+
+class TestExitContract:
+    """Bad input ends in exit 2 with one ``error:`` line and no data file."""
+
+    def assert_rejected(self, argv, tmp_path, capsys):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_coupling_too_large(self, tmp_path, capsys):
+        self.assert_rejected(["spectrum", "--omega", "1", "--eta", "1e5", "--delta", "0",
+                              "--out", str(tmp_path / "spec.csv")], tmp_path, capsys)
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        self.assert_rejected(["spectrum", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                              "--out", str(tmp_path / "missing" / "spec.csv")], tmp_path, capsys)
+
+    def test_evolve_step_count_not_finite(self, tmp_path, capsys):
+        self.assert_rejected(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                              "--t-max", "1e300", "--dt", "1e-300",
+                              "--out", str(tmp_path / "ev.csv")], tmp_path, capsys)
+
+    @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
+                                         KeyboardInterrupt()])
+    def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch, failure):
+        def fail(src, dst):
+            raise failure
+
+        monkeypatch.setattr(os, "replace", fail)
+        argv = ["spectrum", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                "--out", str(tmp_path / "spec.csv")]
+        if isinstance(failure, OSError):
+            assert run(argv) == 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
+        assert os.listdir(tmp_path) == []
+
+    @settings(max_examples=100)
+    @given(omega=st.floats(min_value=-6.0, max_value=6.0),
+           eta=st.floats(min_value=-6.0, max_value=6.0),
+           delta=st.floats(min_value=-6.0, max_value=6.0),
+           detuned=st.booleans(), negative=st.booleans())
+    def test_spectrum_never_exits_one(self, omega, eta, delta, detuned, negative):
+        # Ω, η and |δ| are log-uniform up to 1e6; δ may also be exactly 0.
+        delta_value = (-1.0 if negative else 1.0) * 10.0 ** delta if detuned else 0.0
+        with tempfile.TemporaryDirectory() as tmp:
+            code = run(["spectrum", f"--omega={10.0 ** omega!r}", f"--eta={10.0 ** eta!r}",
+                        f"--delta={delta_value!r}", "--n-max-hard", "60",
+                        "--out", os.path.join(tmp, "spec.csv")])
+        assert code in (0, 2, 3)

@@ -288,7 +288,7 @@ _truncation = st.integers(min_value=0, max_value=80)
 class TestDisplacementProperties:
     """Invariants of the displacement table over |β| <= 3 and n <= 80."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(beta=_beta, n=_truncation, data=st.data())
     def test_matrix_matches_element(self, beta, n, data):
         mat = displacement_matrix(beta, n)
@@ -297,12 +297,12 @@ class TestDisplacementProperties:
             k = data.draw(st.integers(min_value=0, max_value=n))
             assert mat[m, k] == displacement_element(beta, m, k)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(r=_radius, n=_truncation)
     def test_reflection_is_transpose(self, r, n):
         assert np.array_equal(displacement_matrix(-r, n), displacement_matrix(r, n).T)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(beta=_beta, n=_truncation)
     def test_nested_truncations(self, beta, n):
         small = displacement_matrix(beta, n)
@@ -312,12 +312,12 @@ class TestDisplacementProperties:
         assert np.array_equal(overlap_matrix(n, g).values,
                               overlap_matrix(n + 20, g).values[:n + 1, :n + 1])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(beta=_real_beta, n=_truncation)
     def test_real_coupling_is_real(self, beta, n):
         assert np.all(displacement_matrix(beta, n).imag == 0.0)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(beta=_beta, n=_truncation)
     def test_expm_oracle(self, beta, n):
         # the oracle truncates the generator at 200 quanta, far above the

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabi_spectra import (
     BasisSpec,
@@ -205,6 +207,54 @@ class TestParity:
     def test_unset_when_detuned(self, solve):
         result = solve(1.0, 0.2, 1.0)
         assert result.parities is None
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0])
+@pytest.mark.parametrize("eta", [0.0, 0.2, 0.6, 2.0])
+class TestParitySectors:
+    """At zero detuning each level is solved inside one parity sector."""
+
+    def test_labels_exact_and_match_bare_parity(self, solve, omega, eta):
+        result = solve(omega, eta, 0.0)
+        assert np.all(np.abs(result.parities) == 1.0)
+        for c, d, label in zip(result.coeff_c, result.coeff_d, result.parities):
+            assert abs(parity_expectation(c, d, result.params) - label) < 1e-8
+
+    def test_blocks_related_by_parity(self, solve, omega, eta):
+        result = solve(omega, eta, 0.0)
+        signs = (-1.0) ** np.arange(result.n_final + 1)
+        assert np.array_equal(result.coeff_c, result.parities[:, None] * signs * result.coeff_d)
+
+    def test_sign_pivot_in_upper_block(self, solve, omega, eta):
+        result = solve(omega, eta, 0.0)
+        dim = result.n_final + 1
+        for c, d in result.vectors():
+            col = np.concatenate([c, d])
+            pivot = int(np.argmax(np.abs(col)))
+            assert pivot < dim
+            assert col[pivot] > 0
+
+
+_omega = st.floats(min_value=0.5, max_value=2.0)
+_eta = st.floats(min_value=0.0, max_value=1.0)
+_delta = st.floats(min_value=-2.0, max_value=2.0)
+
+
+class TestSolverProperties:
+    @settings(max_examples=25)
+    @given(omega=_omega, eta=_eta, delta=_delta)
+    def test_detuning_reflection(self, omega, eta, delta):
+        plus = solve_spectrum(params_of(omega, eta, delta))
+        minus = solve_spectrum(params_of(omega, eta, -delta))
+        assert np.max(np.abs(plus.energies - minus.energies)) < 1e-10
+
+    @settings(max_examples=25)
+    @given(omega=_omega, eta=_eta, delta=_delta)
+    def test_trace_non_increasing(self, omega, eta, delta):
+        basis = BasisSpec(n_start=10, n_step=10, levels_requested=5)
+        trace = solve_spectrum(params_of(omega, eta, delta), basis).trace
+        for (_, e_a), (_, e_b) in zip(trace, trace[1:]):
+            assert np.all(e_b - e_a <= 1e-12)
 
 
 class TestClassifyLevels:

@@ -6,9 +6,14 @@ manifest sidecar, never in the data payload. Every data file gets a
 ``<out>.manifest.json`` companion recording the exact parameters,
 convergence status and payload digests.
 
-Exit codes: 0 success, 2 invalid flags or parameters (an unwritable
-``--out`` included), 3 convergence failure (partial results are still
-written, flagged), 4 initial state outside the converged span (evolve).
+Exit codes: 0 success, 2 invalid flags or parameters, 3 convergence
+failure (partial results are still written, flagged), 4 initial state
+outside the converged span (evolve). Exit 2 includes an unwritable
+``--out``; a ``converge`` truncation list that is empty, not strictly
+increasing, holds a truncation below 1 or is too small for ``--levels``;
+``converge --levels`` below 1; and a request for more than ``MAX_ROWS``
+rows in one data file (``evolve`` time steps, ``sweep`` steps x levels),
+checked before any solve.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,7 +34,7 @@ from . import __version__
 from .errors import ConvergenceFailure, IncompleteBasis, InvalidParam, RabiSpectraError
 from .hamiltonian import rwa_spectrum
 from .model import BasisSpec, ModelParams, validate
-from .solver import SpectralResult, classify_levels, solve_spectrum, truncation_table
+from .solver import LevelPairing, SpectralResult, classify_levels, solve_spectrum, truncation_table
 from .states import (
     basis_state,
     eigvec_to_bare,
@@ -39,6 +45,8 @@ from .states import (
 )
 
 SCHEMA_VERSION = 1
+# Most rows a flag may request in one data file, checked before any solve.
+MAX_ROWS = 10_000_000
 
 _PRESETS = {
     # Coupling sweep at resonance; the two parity chains split as eta grows.
@@ -99,17 +107,6 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _params_dict(params: ModelParams) -> dict:
-    return {"omega": params.omega, "eta": params.eta, "delta": params.delta,
-            "g": params.g, "epsilon": params.epsilon}
-
-
-def _basis_dict(basis: BasisSpec) -> dict:
-    return {"n_start": basis.n_start, "n_step": basis.n_step,
-            "n_max_hard": basis.n_max_hard, "tail_tol": basis.tail_tol,
-            "drift_tol": basis.drift_tol, "levels_requested": basis.levels_requested}
-
-
 def _write_manifest(out_path: str, params: Optional[ModelParams], basis: Optional[BasisSpec],
                     command: str, extra: dict, outputs: List[str]) -> None:
     manifest = {
@@ -121,9 +118,9 @@ def _write_manifest(out_path: str, params: Optional[ModelParams], basis: Optiona
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
     if params is not None:
-        manifest["params"] = _params_dict(params)
+        manifest["params"] = asdict(params)
     if basis is not None:
-        manifest["basis"] = _basis_dict(basis)
+        manifest["basis"] = asdict(basis)
     manifest.update(extra)
     _write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -155,89 +152,92 @@ def _params_from_args(args) -> ModelParams:
     return validate(ModelParams(omega=args.omega, eta=args.eta, delta=args.delta))
 
 
-def _pairing_rows(result: SpectralResult):
+_PAIRING_HEADER = tuple(f.name for f in fields(LevelPairing))
+# The spectrum and sweep CSVs carry each level's RWA partner: label, energy and gap.
+_RWA_COLUMNS = _PAIRING_HEADER[2:5]
+
+
+def _pairing(result: SpectralResult) -> List[LevelPairing]:
     rwa = rwa_spectrum(result.params, n_max=max(0, (result.levels + 1) // 2))
     return classify_levels(result, rwa)
 
 
-def _spectrum_payload(result: SpectralResult) -> dict:
-    pairing = _pairing_rows(result)
-    levels = []
-    for i in range(result.levels):
-        levels.append({
-            "index": i,
-            "energy": float(result.energies[i]),
-            "tail_weight": float(result.tail_weights[i]),
-            "drift": None if not np.isfinite(result.drifts[i]) else float(result.drifts[i]),
-            "parity": None if result.parities is None else float(result.parities[i]),
-            "converged": bool(result.converged[i]),
-            "coefficients": {
-                "c": [float(v) for v in result.coeff_c[i]],
-                "d": [float(v) for v in result.coeff_d[i]],
-            },
-        })
+def _rwa_columns(pairing: Optional[LevelPairing]) -> tuple:
+    """The RWA partner columns of one level; blank without a pairing."""
+    return tuple(None if pairing is None else getattr(pairing, name) for name in _RWA_COLUMNS)
+
+
+def _level_records(result: SpectralResult) -> List[dict]:
+    """Per-level fields shared by the spectrum CSV and JSON and the sweep rows."""
+    return [{
+        "level": i,
+        "energy": float(result.energies[i]),
+        "tail_weight": float(result.tail_weights[i]),
+        "drift": float(result.drifts[i]) if np.isfinite(result.drifts[i]) else None,
+        "parity": None if result.parities is None else float(result.parities[i]),
+        "converged": bool(result.converged[i]),
+    } for i in range(result.levels)]
+
+
+def _rwa_payload(result: SpectralResult, pairing: List[LevelPairing]) -> dict:
     params = result.params
+    ground = -params.omega / 2.0 + params.g ** 2
     return {
-        "params": _params_dict(params),
-        "basis": _basis_dict(result.basis),
-        "n_final": result.n_final,
-        "all_converged": result.all_converged,
-        "levels": levels,
-        "rwa": {
-            "ground_energy": -params.omega / 2.0 + params.g ** 2,
-            "ground_gap_vs_rwa": float(result.energies[0]) - (-params.omega / 2.0 + params.g ** 2),
-            "pairing": [
-                {"level": p.level, "energy": p.energy, "rwa_label": p.rwa_label,
-                 "rwa_energy": p.rwa_energy, "gap": p.gap,
-                 "nearest_label": p.nearest_label, "agrees": p.agrees}
-                for p in pairing
-            ],
-        },
+        "ground_energy": ground,
+        "ground_gap_vs_rwa": float(result.energies[0]) - ground,
+        "pairing": [asdict(p) for p in pairing],
     }
 
 
-def _spectrum_rows(result: SpectralResult):
-    pairing = {p.level: p for p in _pairing_rows(result)}
-    rows = []
-    for i in range(result.levels):
-        p = pairing[i]
-        rows.append((
-            i,
-            float(result.energies[i]),
-            float(result.tail_weights[i]),
-            None if not np.isfinite(result.drifts[i]) else float(result.drifts[i]),
-            None if result.parities is None else float(result.parities[i]),
-            bool(result.converged[i]),
-            p.rwa_label, p.rwa_energy, p.gap,
-        ))
-    return rows
+def _solve(params: ModelParams,
+           basis: BasisSpec) -> Tuple[SpectralResult, Optional[ConvergenceFailure]]:
+    """Solve; on convergence failure return the partial result and the failure."""
+    try:
+        return solve_spectrum(params, basis), None
+    except ConvergenceFailure as failure:
+        return failure.result, failure
 
 
 def _solve_or_partial(params: ModelParams, basis: BasisSpec) -> Tuple[SpectralResult, int]:
     """Solve, or warn and fall back to the partial result with exit code 3."""
-    try:
-        return solve_spectrum(params, basis), 0
-    except ConvergenceFailure as failure:
-        print(f"warning: {failure}", file=sys.stderr)
-        return failure.result, 3
+    result, failure = _solve(params, basis)
+    if failure is None:
+        return result, 0
+    print(f"warning: {failure}", file=sys.stderr)
+    return result, 3
 
 
 def _solve_summary(result: SpectralResult) -> dict:
     return {"n_final": result.n_final, "converged": [bool(v) for v in result.converged]}
 
 
-_SPECTRUM_HEADER = ("level", "energy", "tail_weight", "drift", "parity", "converged",
-                    "rwa_label", "rwa_energy", "gap")
+def _check_rows(name: str, rows: int) -> None:
+    if rows > MAX_ROWS:
+        raise InvalidParam(name, f"asks for more than {MAX_ROWS} rows in one data file")
 
 
 def _cmd_spectrum(args, command: str) -> int:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
     result, exit_code = _solve_or_partial(params, basis)
+    pairing = _pairing(result)
+    records = _level_records(result)
     if args.format == "json":
-        _write_json(args.out, _spectrum_payload(result))
+        for r in records:
+            i = r.pop("level")
+            r.update(index=i, coefficients={"c": result.coeff_c[i].tolist(),
+                                            "d": result.coeff_d[i].tolist()})
+        _write_json(args.out, {
+            "params": asdict(result.params),
+            "basis": asdict(result.basis),
+            "n_final": result.n_final,
+            "all_converged": result.all_converged,
+            "levels": records,
+            "rwa": _rwa_payload(result, pairing),
+        })
     else:
-        _write_csv(args.out, _SPECTRUM_HEADER, _spectrum_rows(result))
+        rows = [(*r.values(), *_rwa_columns(p)) for r, p in zip(records, pairing)]
+        _write_csv(args.out, (*records[0], *_RWA_COLUMNS), rows)
     _write_manifest(args.out, params, basis, command, _solve_summary(result), [args.out])
     return exit_code
 
@@ -246,34 +246,23 @@ def _cmd_compare_rwa(args, command: str) -> int:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
     result, exit_code = _solve_or_partial(params, basis)
-    pairing = _pairing_rows(result)
+    pairing = _pairing(result)
     if args.format == "json":
-        payload = _spectrum_payload(result)
-        _write_json(args.out, {"params": payload["params"], "rwa": payload["rwa"]})
+        _write_json(args.out, {"params": asdict(result.params),
+                               "rwa": _rwa_payload(result, pairing)})
     else:
-        rows = [(p.level, p.energy, p.rwa_label, p.rwa_energy, p.gap,
-                 p.nearest_label, p.agrees) for p in pairing]
-        _write_csv(args.out, ("level", "energy", "rwa_label", "rwa_energy", "gap",
-                              "nearest_label", "agrees"), rows)
+        _write_csv(args.out, _PAIRING_HEADER, [astuple(p) for p in pairing])
     _write_manifest(args.out, params, basis, command, _solve_summary(result), [args.out])
     return exit_code
 
 
-_SWEEP_HEADER = ("param", "level", "energy", "parity", "rwa_label", "rwa_energy", "gap")
+_SWEEP_HEADER = ("param", "level", "energy", "parity", *_RWA_COLUMNS)
 
 
 def _sweep_params(value: float, args) -> ModelParams:
     fixed = {"omega": args.omega, "eta": args.eta, "delta": args.delta}
     fixed[args.param] = value
     return validate(ModelParams(omega=fixed["omega"], eta=fixed["eta"], delta=fixed["delta"]))
-
-
-def _sweep_point(value: float, args, basis: BasisSpec):
-    params = _sweep_params(value, args)
-    try:
-        return value, solve_spectrum(params, basis), None
-    except ConvergenceFailure as failure:
-        return value, failure.result, str(failure)
 
 
 def _cmd_sweep(args, command: str) -> int:
@@ -288,40 +277,33 @@ def _cmd_sweep(args, command: str) -> int:
         raise InvalidParam("param", "sweep needs --param/--from/--to/--steps or --preset")
     if args.steps < 1:
         raise InvalidParam("steps", "must be >= 1")
+    _check_rows("steps", args.steps * args.levels)
     for name in ("omega", "eta", "delta"):
         if name != args.param and getattr(args, name) is None:
             raise InvalidParam(name, "fixed parameter required for sweep")
     basis = _basis_from_args(args)
-    values = np.linspace(args.start, args.stop, args.steps)
     # Validate the whole grid up front so bad flags fail before any work.
-    for value in values:
-        _sweep_params(float(value), args)
-    points = [_sweep_point(float(v), args, basis) for v in values]
+    grid = [_sweep_params(float(v), args) for v in np.linspace(args.start, args.stop, args.steps)]
 
     with_rwa = args.param == "eta" and args.omega == 1.0
     rows = []
     failures = []
-    for value, result, error in points:
-        if error is not None:
-            failures.append((value, error))
-        pairing = {p.level: p for p in _pairing_rows(result)} if with_rwa else {}
-        for i in range(result.levels):
-            parity = None if result.parities is None else float(result.parities[i])
-            if not result.converged[i]:
-                parity = None
-            if with_rwa:
-                p = pairing[i]
-                rows.append((value, i, float(result.energies[i]), parity,
-                             p.rwa_label, p.rwa_energy, p.gap))
-            else:
-                rows.append((value, i, float(result.energies[i]), parity, None, None, None))
+    for params in grid:
+        value = getattr(params, args.param)
+        result, failure = _solve(params, basis)
+        if failure is not None:
+            failures.append({"value": value, "error": str(failure)})
+        pairing = _pairing(result) if with_rwa else [None] * result.levels
+        for r, p in zip(_level_records(result), pairing):
+            parity = r["parity"] if r["converged"] else None
+            rows.append((value, r["level"], r["energy"], parity, *_rwa_columns(p)))
     _write_csv(args.out, _SWEEP_HEADER, rows)
     _write_manifest(args.out, None, basis, command,
                     {"sweep": {"param": args.param, "from": args.start, "to": args.stop,
                                "steps": args.steps,
                                "fixed": {name: getattr(args, name) for name in
                                          ("omega", "eta", "delta") if name != args.param}},
-                     "failed_points": [{"value": v, "error": e} for v, e in failures]},
+                     "failed_points": failures},
                     [args.out])
     if failures:
         print(f"warning: {len(failures)} sweep point(s) did not converge", file=sys.stderr)
@@ -335,7 +317,13 @@ def _cmd_converge(args, command: str) -> int:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise InvalidParam("n_list", str(exc)) from exc
-    rows = truncation_table(params, n_list, args.levels)
+    if args.levels < 1:
+        raise InvalidParam("levels", "must be >= 1")
+    try:
+        # truncation_table rejects the list and the level count before any solve.
+        rows = truncation_table(params, n_list, args.levels)
+    except ValueError as exc:
+        raise InvalidParam("n_list", str(exc)) from exc
     csv_rows = [(r["n"], r["level"], r["energy"], r["tail_weight"], r["drift"]) for r in rows]
     _write_csv(args.out, ("n", "level", "energy", "tail_weight", "drift"), csv_rows)
     _write_manifest(args.out, params, None, command, {"n_list": n_list, "levels": args.levels},
@@ -351,7 +339,7 @@ def _cmd_cat(args, command: str) -> int:
     had = hadamard_on_spin(ground).fixed_phase()
     cat = ideal_cat_state(params.g, result.n_final).fixed_phase()
     payload = {
-        "params": _params_dict(params),
+        "params": asdict(params),
         "n": result.n_final,
         "fidelity": fidelity(had, cat),
         "hadamard_ground_norm": float(np.linalg.norm(had.amps)),
@@ -393,9 +381,10 @@ def _cmd_evolve(args, command: str) -> int:
         raise InvalidParam("t_max" if args.t_max <= 0 else "dt", "must be > 0")
     if not math.isfinite(args.t_max / args.dt):
         raise InvalidParam("dt", "t_max/dt must be finite")
+    steps = int(round(args.t_max / args.dt))
+    _check_rows("dt", steps + 1)
     result = solve_spectrum(params, basis)
     initial = _initial_state(args.initial, result)
-    steps = int(round(args.t_max / args.dt))
     times = [i * args.dt for i in range(steps + 1)]
     table = propagate_observables(initial, result, times)
     rows = [tuple(row) for row in table]

@@ -3,13 +3,16 @@
 import json
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabi_spectra import cli
 from rabi_spectra.cli import main
+from rabi_spectra.solver import LevelPairing, classify_levels
 
 
 def run(argv):
@@ -110,6 +113,81 @@ class TestCompareRwa:
         gaps = [abs(float(r[header.index("gap")])) for r in rows[1:]]
         assert max(gaps) < 0.05
         assert all(r[header.index("agrees")] == "true" for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pairs_levels_once(self, tmp_path, monkeypatch, fmt):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return classify_levels(*args)
+
+        monkeypatch.setattr(cli, "classify_levels", counted)
+        code = run(["compare-rwa", "--omega", "1", "--eta", "0.3", "--delta", "0.2",
+                    "--format", fmt, "--out", str(tmp_path / f"rwa.{fmt}")])
+        assert code == 0
+        assert len(calls) == 1
+
+
+def cell(text):
+    """A CSV field as the JSON value it renders: blank is null, then bool, int, float, str."""
+    if text == "":
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+class TestCrossFormat:
+    """The CSV and JSON renderings of one solve state the same facts."""
+
+    POINTS = {
+        "converged": (["--omega", "1", "--eta", "0.3", "--delta", "0"], 0),
+        "partial": (["--omega", "1", "--eta", "3", "--delta", "0.5", "--n-max-hard", "45"], 3),
+    }
+
+    def outputs(self, tmp_path, point):
+        flags, expected = self.POINTS[point]
+        docs = {}
+        for command in ("spectrum", "compare-rwa"):
+            for fmt in ("csv", "json"):
+                out = str(tmp_path / f"{command}.{fmt}")
+                assert run([command, *flags, "--format", fmt, "--out", out]) == expected
+                docs[command, fmt] = read_csv(out) if fmt == "csv" else json.loads(read_bytes(out))
+        return docs
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_spectrum_csv_matches_json(self, tmp_path, point):
+        docs = self.outputs(tmp_path, point)
+        header, rows = docs["spectrum", "csv"]
+        doc = docs["spectrum", "json"]
+        pairing = doc["rwa"]["pairing"]
+        assert len(rows) == len(doc["levels"]) == len(pairing)
+        for row, level, pair in zip(rows, doc["levels"], pairing):
+            record = dict(zip(header, map(cell, row)))
+            assert record["level"] == level["index"] == pair["level"]
+            for name in ("energy", "tail_weight", "drift", "parity", "converged"):
+                assert record[name] == level[name], name
+            for name in ("rwa_label", "rwa_energy", "gap"):
+                assert record[name] == pair[name], name
+        if point == "partial":
+            assert doc["all_converged"] is False
+            assert any(level["parity"] is None for level in doc["levels"])
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_compare_rwa_csv_matches_json(self, tmp_path, point):
+        docs = self.outputs(tmp_path, point)
+        header, rows = docs["compare-rwa", "csv"]
+        doc = docs["compare-rwa", "json"]
+        assert header == [f.name for f in fields(LevelPairing)]
+        assert sorted(doc) == ["params", "rwa", "schema"]
+        assert [dict(zip(header, map(cell, row))) for row in rows] == doc["rwa"]["pairing"]
+        assert doc["rwa"] == docs["spectrum", "json"]["rwa"]
 
 
 class TestSweep:
@@ -282,6 +360,39 @@ class TestExitContract:
                               "--t-max", "1e300", "--dt", "1e-300",
                               "--out", str(tmp_path / "ev.csv")], tmp_path, capsys)
 
+    @pytest.mark.parametrize("n_list, levels", [
+        ("40,20", "10"),    # not increasing
+        ("0,10", "10"),     # truncation below 1
+        (",", "10"),        # empty
+        ("5", "50"),        # more levels than the smallest problem holds
+        ("20", "-3"),       # no level requested
+    ], ids=["descending", "zero", "empty", "levels-too-many", "levels-negative"])
+    def test_converge_bad_truncations(self, tmp_path, capsys, n_list, levels):
+        self.assert_rejected(["converge", "--omega", "1", "--eta", "0.5", "--delta", "0.3",
+                              f"--n-list={n_list}", f"--levels={levels}",
+                              "--out", str(tmp_path / "cv.csv")], tmp_path, capsys)
+
+    def test_evolve_row_cap(self, tmp_path, capsys, monkeypatch):
+        # Without the cap the solve runs and the time list takes 1e12 entries.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve reached past the row cap")
+
+        monkeypatch.setattr(cli, "solve_spectrum", unreachable)
+        self.assert_rejected(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                              "--t-max", "1e6", "--dt", "1e-6",
+                              "--out", str(tmp_path / "ev.csv")], tmp_path, capsys)
+
+    def test_sweep_row_cap(self, tmp_path, capsys, monkeypatch):
+        # Without the cap the grid of 10**6 + 1 points is built and solved.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sweep reached past the row cap")
+
+        monkeypatch.setattr(cli, "_basis_from_args", unreachable)
+        self.assert_rejected(["sweep", "--param", "eta", "--from", "0", "--to", "1",
+                              "--steps", str(10 ** 6 + 1), "--omega", "1", "--delta", "0",
+                              "--out", str(tmp_path / "sw.csv")], tmp_path, capsys)
+        assert (10 ** 6 + 1) * 10 > cli.MAX_ROWS  # ten levels per point
+
     @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
                                          KeyboardInterrupt()])
     def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch, failure):
@@ -311,3 +422,13 @@ class TestExitContract:
                         f"--delta={delta_value!r}", "--n-max-hard", "60",
                         "--out", os.path.join(tmp, "spec.csv")])
         assert code in (0, 2, 3)
+
+    @settings(max_examples=100)
+    @given(n_list=st.lists(st.integers(min_value=-2, max_value=80), max_size=4),
+           levels=st.integers(min_value=-2, max_value=200))
+    def test_converge_never_exits_one(self, n_list, levels):
+        with tempfile.TemporaryDirectory() as tmp:
+            code = run(["converge", "--omega", "1", "--eta", "0.5", "--delta", "0.3",
+                        f"--n-list={','.join(map(str, n_list))}", f"--levels={levels}",
+                        "--out", os.path.join(tmp, "cv.csv")])
+        assert code in (0, 2)

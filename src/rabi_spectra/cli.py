@@ -11,9 +11,10 @@ failure (partial results are still written, flagged), 4 initial state
 outside the converged span (evolve). Exit 2 includes an unwritable
 ``--out``; a ``converge`` truncation list that is empty, not strictly
 increasing, holds a truncation below 1 or is too small for ``--levels``;
-``converge --levels`` below 1; and a request for more than ``MAX_ROWS``
-rows in one data file (``evolve`` time steps, ``sweep`` steps x levels),
-checked before any solve.
+``converge --levels`` below 1; a truncation above ``model.MAX_TRUNCATION``
+(``--n-max-hard`` or a ``converge`` truncation); and a request for more than
+``MAX_ROWS`` rows in one data file (``evolve`` time steps, ``sweep`` steps x
+levels). All are checked before any solve.
 """
 
 from __future__ import annotations
@@ -385,9 +386,8 @@ def _cmd_evolve(args, command: str) -> int:
     _check_rows("dt", steps + 1)
     result = solve_spectrum(params, basis)
     initial = _initial_state(args.initial, result)
-    times = [i * args.dt for i in range(steps + 1)]
-    table = propagate_observables(initial, result, times)
-    rows = [tuple(row) for row in table]
+    table = propagate_observables(initial, result, np.arange(steps + 1) * args.dt)
+    rows = table.tolist()
     _write_csv(args.out, ("t", "norm", "energy", "sigma_z", "sigma_x", "n"), rows)
     _write_manifest(args.out, params, basis, command,
                     {**_solve_summary(result), "initial": args.initial,

@@ -17,7 +17,12 @@ import numpy as np
 
 from .errors import InvalidParam
 
-__all__ = ["ModelParams", "BasisSpec", "validate"]
+__all__ = ["ModelParams", "BasisSpec", "validate", "MAX_TRUNCATION"]
+
+# Largest truncation n that a basis or a truncation list may ask for. The
+# solver's tables are dense (n+1)² and (2n+2)² arrays, so an unbounded n
+# asks for gigabytes before any other check runs.
+MAX_TRUNCATION = 2000
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,7 @@ class BasisSpec:
 
     Defaults are sized so that the physically interesting ranges
     (eta <= 1, omega <= 2, |delta| <= 2) converge with large margin.
+    ``n_max_hard`` may not exceed ``MAX_TRUNCATION``.
     """
 
     n_start: int = 40
@@ -92,6 +98,8 @@ class BasisSpec:
     def __post_init__(self):
         if not (0 < self.n_start <= self.n_max_hard):
             raise InvalidParam("n_start", "need 0 < n_start <= n_max_hard")
+        if self.n_max_hard > MAX_TRUNCATION:
+            raise InvalidParam("n_max_hard", f"must be <= {MAX_TRUNCATION}")
         if self.n_step < 1:
             raise InvalidParam("n_step", "must be >= 1")
         if not (self.tail_tol > 0):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, NoConvergence
 from .hamiltonian import RwaLevel, build_displaced_hamiltonian
-from .model import BasisSpec, ModelParams, validate
+from .model import MAX_TRUNCATION, BasisSpec, ModelParams, validate
 from . import states as _states
 
 __all__ = [
@@ -220,11 +220,14 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
     """Fixed-truncation snapshots: per (n, level) energy, tail weight and drift.
 
     Drift compares each truncation against the previous entry of ``n_list``
-    and is None for the first one. Input truncations must be increasing.
+    and is None for the first one. Input truncations must be increasing and
+    at most ``MAX_TRUNCATION``.
     """
     params = validate(params)
     if not n_list or any(n < 1 for n in n_list):
         raise ValueError("n_list must hold truncations >= 1")
+    if max(n_list) > MAX_TRUNCATION:
+        raise ValueError(f"n_list must hold truncations <= {MAX_TRUNCATION}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     if levels > 2 * (min(n_list) + 1):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_spectra import cli
+from rabi_spectra import cli, solver
 from rabi_spectra.cli import main
 from rabi_spectra.solver import LevelPairing, classify_levels
 
@@ -335,6 +335,41 @@ class TestEvolve:
                     "--out", out])
         assert code == 2
 
+    def test_two_runs_byte_identical(self, tmp_path):
+        outs = [str(tmp_path / f"ev{i}.csv") for i in range(2)]
+        for out in outs:
+            assert run(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                        "--t-max", "20", "--dt", "0.01", "--initial", "cat",
+                        "--out", out]) == 0
+        assert read_bytes(outs[0]) == read_bytes(outs[1])
+
+    @pytest.mark.parametrize("dt", ["0.01", "0.1"])
+    def test_time_column_is_step_times_dt(self, tmp_path, dt):
+        out = str(tmp_path / "ev.csv")
+        assert run(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                    "--t-max", "100", "--dt", dt, "--initial", "ground",
+                    "--out", out]) == 0
+        _, rows = read_csv(out)
+        step = float(dt)
+        assert len(rows) == round(100 / step) + 1
+        assert [r[0] for r in rows] == [f"{i * step:.17g}" for i in range(len(rows))]
+
+    def test_no_times_writes_header_only(self, tmp_path, monkeypatch):
+        propagate = cli.propagate_observables
+
+        def no_times(initial, result, times):
+            table = propagate(initial, result, times[:0])
+            assert table.shape == (0, 6)
+            return table
+
+        monkeypatch.setattr(cli, "propagate_observables", no_times)
+        out = str(tmp_path / "ev.csv")
+        assert run(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                    "--t-max", "1", "--dt", "0.5", "--out", out]) == 0
+        header, rows = read_csv(out)
+        assert header == ["t", "norm", "energy", "sigma_z", "sigma_x", "n"]
+        assert rows == []
+
 
 class TestExitContract:
     """Bad input ends in exit 2 with one ``error:`` line and no data file."""
@@ -392,6 +427,25 @@ class TestExitContract:
                               "--steps", str(10 ** 6 + 1), "--omega", "1", "--delta", "0",
                               "--out", str(tmp_path / "sw.csv")], tmp_path, capsys)
         assert (10 ** 6 + 1) * 10 > cli.MAX_ROWS  # ten levels per point
+
+    def test_spectrum_truncation_cap(self, tmp_path, capsys, monkeypatch):
+        # Without the cap the solve allocates a dense (n+1)² table at n = 10**5.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve reached past the truncation cap")
+
+        monkeypatch.setattr(cli, "solve_spectrum", unreachable)
+        self.assert_rejected(["spectrum", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                              "--n-start", "100000", "--n-max-hard", "100000",
+                              "--out", str(tmp_path / "spec.csv")], tmp_path, capsys)
+
+    def test_converge_truncation_cap(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve reached past the truncation cap")
+
+        monkeypatch.setattr(solver, "_solve_at", unreachable)
+        self.assert_rejected(["converge", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                              "--n-list", "100000", "--out", str(tmp_path / "cv.csv")],
+                             tmp_path, capsys)
 
     @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
                                          KeyboardInterrupt()])

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from rabi_spectra import BasisSpec, InvalidParam, ModelParams, validate
+from rabi_spectra.model import MAX_TRUNCATION
 
 
 def test_derived_fields():
@@ -70,3 +71,11 @@ def test_basis_spec_defaults_valid():
 def test_basis_spec_invariants(kwargs):
     with pytest.raises(InvalidParam):
         BasisSpec(**kwargs)
+
+
+def test_basis_spec_truncation_cap():
+    # Constructing a spec allocates nothing, so the cap is checked at its edge.
+    assert BasisSpec(n_max_hard=MAX_TRUNCATION).n_max_hard == MAX_TRUNCATION
+    with pytest.raises(InvalidParam) as err:
+        BasisSpec(n_start=MAX_TRUNCATION + 1, n_max_hard=MAX_TRUNCATION + 1)
+    assert err.value.field == "n_max_hard"

@@ -20,6 +20,8 @@ from rabi_spectra import (
     truncation_table,
     validate,
 )
+from rabi_spectra import solver
+from rabi_spectra.model import MAX_TRUNCATION
 
 
 def params_of(omega, eta, delta):
@@ -316,6 +318,15 @@ class TestTruncationTable:
             truncation_table(params_of(1, 0.2, 0), [40, 20], levels=5)
         with pytest.raises(ValueError):
             truncation_table(params_of(1, 0.2, 0), [], levels=5)
+
+    def test_rejects_truncation_above_cap(self, monkeypatch):
+        # Without the cap the first solve allocates a dense (n+1)² overlap table.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve reached past the truncation cap")
+
+        monkeypatch.setattr(solver, "_solve_at", unreachable)
+        with pytest.raises(ValueError):
+            truncation_table(params_of(1, 0.2, 0), [20, MAX_TRUNCATION + 1], levels=5)
 
 
 class TestGroundStateClaims:

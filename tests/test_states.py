@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabi_spectra import (
     BasisSpec,
@@ -16,6 +18,7 @@ from rabi_spectra import (
     NormLoss,
     QuantumState,
     basis_state,
+    build_bare_rabi_hamiltonian,
     displacement_matrix,
     eigvec_to_bare,
     evolve,
@@ -33,6 +36,7 @@ from rabi_spectra import (
     validate,
     working_to_intermediate,
 )
+from rabi_spectra.states import _TIME_BLOCK
 
 
 def params_of(omega, eta, delta):
@@ -272,6 +276,64 @@ class TestEvolve:
         assert table[0, 3] == pytest.approx(-1.0, abs=1e-12)   # sigma_z at t=0
         assert table[0, 5] == pytest.approx(0.0, abs=1e-12)    # occupation at t=0
         assert abs(table[2, 3] - table[0, 3]) > 1e-3
+
+
+def reference_table(initial, result, times):
+    """Per-time loop: evolve at each t, norm and energy from the flat vector."""
+    h = build_bare_rabi_hamiltonian(result.params, result.n_final)
+    rows = []
+    for t in times:
+        state = evolve(initial, result, t)
+        vec = state.flat()
+        rows.append((t, np.linalg.norm(vec), np.real(np.vdot(vec, h @ vec)),
+                     expect_sigma_z(state), expect_sigma_x(state), expect_number(state)))
+    return np.array(rows).reshape(-1, 6)
+
+
+class TestPropagateBlocks:
+    """Blocked propagation against the per-time reference, across block edges."""
+
+    @pytest.mark.parametrize("count", [0, 1, _TIME_BLOCK - 1, _TIME_BLOCK, _TIME_BLOCK + 1,
+                                       2 * _TIME_BLOCK + 3])
+    @pytest.mark.parametrize("point, initial", [
+        ((1.0, 0.2, 0.0), "cat"),
+        ((1.0, 0.4, 0.3), "fock"),
+    ])
+    def test_matches_per_time_reference(self, solve, count, point, initial):
+        result = solve(*point)
+        n = result.n_final
+        state = (ideal_cat_state(result.params.g, n) if initial == "cat"
+                 else basis_state(0, "g", n))
+        # Unsorted, and negative as well as positive times.
+        times = np.random.default_rng(count).permutation(np.linspace(-30.0, 50.0, count))
+        table = propagate_observables(state, result, times)
+        assert table.shape == (count, 6)
+        assert np.array_equal(table[:, 0], times)
+        assert np.max(np.abs(table - reference_table(state, result, times)),
+                      initial=0.0) <= 1e-12
+
+    def test_generator_input(self, solve):
+        result = solve(1.0, 0.2, 0.0)
+        state = basis_state(0, "g", result.n_final)
+        times = [0.1 * i for i in range(2 * _TIME_BLOCK + 3)]
+        lazy = propagate_observables(state, result, (t for t in times))
+        assert np.array_equal(lazy, propagate_observables(state, result, times))
+
+    @pytest.mark.parametrize("times", [[], np.array([]), iter(())], ids=["list", "array", "iter"])
+    def test_no_times(self, solve, times):
+        result = solve(1.0, 0.2, 0.0)
+        state = basis_state(0, "g", result.n_final)
+        assert propagate_observables(state, result, times).shape == (0, 6)
+
+    @settings(max_examples=20)
+    @given(omega=st.floats(min_value=0.5, max_value=2.0),
+           eta=st.floats(min_value=0.0, max_value=1.0))
+    def test_conservation_at_resonance(self, omega, eta):
+        result = solve_spectrum(params_of(omega, eta, 0.0))
+        state = basis_state(0, "g", result.n_final)
+        table = propagate_observables(state, result, np.linspace(0.0, 100.0, 2 * _TIME_BLOCK + 3))
+        assert np.max(np.abs(table[:, 1] - 1.0)) <= 1e-10
+        assert np.max(np.abs(table[:, 2] - table[0, 2])) <= 1e-10
 
 
 class TestExpectations:

@@ -7,14 +7,14 @@ manifest sidecar, never in the data payload. Every data file gets a
 convergence status and payload digests.
 
 Exit codes: 0 success, 2 invalid flags or parameters, 3 convergence
-failure (partial results are still written, flagged), 4 initial state
-outside the converged span (evolve). Exit 2 includes an unwritable
-``--out``; a ``converge`` truncation list that is empty, not strictly
-increasing, holds a truncation below 1 or is too small for ``--levels``;
-``converge --levels`` below 1; a truncation above ``model.MAX_TRUNCATION``
-(``--n-max-hard`` or a ``converge`` truncation); and a request for more than
-``MAX_ROWS`` rows in one data file (``evolve`` time steps, ``sweep`` steps x
-levels). All are checked before any solve.
+failure (partial results are still written, flagged; evolve writes no data
+file or manifest), 4 initial state outside the converged span (evolve).
+Exit 2 includes an unwritable ``--out``; a ``converge`` truncation list that
+is empty, not strictly increasing, holds a truncation below 1 or is too small
+for ``--levels``; ``converge --levels`` below 1; a truncation above
+``model.MAX_TRUNCATION`` (``--n-max-hard`` or a ``converge`` truncation); and a
+request for more than ``MAX_ROWS`` rows in one data file (``evolve`` time
+steps, ``sweep`` steps x levels). All are checked before any solve.
 """
 
 from __future__ import annotations
@@ -325,8 +325,7 @@ def _cmd_converge(args, command: str) -> int:
         rows = truncation_table(params, n_list, args.levels)
     except ValueError as exc:
         raise InvalidParam("n_list", str(exc)) from exc
-    csv_rows = [(r["n"], r["level"], r["energy"], r["tail_weight"], r["drift"]) for r in rows]
-    _write_csv(args.out, ("n", "level", "energy", "tail_weight", "drift"), csv_rows)
+    _write_csv(args.out, tuple(rows[0]), [r.values() for r in rows])
     _write_manifest(args.out, params, None, command, {"n_list": n_list, "levels": args.levels},
                     [args.out])
     return 0

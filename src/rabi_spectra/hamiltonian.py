@@ -52,6 +52,17 @@ def _ladder_x(dim: int) -> np.ndarray:
     return x + x.T
 
 
+def _two_blocks(upper: np.ndarray, lower: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """The block matrix [[upper, coupling], [coupling†, lower]], filled in place."""
+    dim = upper.shape[0]
+    h = np.empty((2 * dim, 2 * dim), dtype=np.result_type(upper, lower, coupling))
+    h[:dim, :dim] = upper
+    h[dim:, dim:] = lower
+    h[:dim, dim:] = coupling
+    h[dim:, :dim] = coupling.conj().T
+    return h
+
+
 def build_displaced_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     """Eigenproblem matrix over the ±g-displaced number bases, dimension 2(n+1).
 
@@ -63,16 +74,9 @@ def build_displaced_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     params = validate(params)
     if n < 1:
         raise ValueError("truncation must be >= 1")
-    dim = n + 1
-    d = overlap_matrix(n, params.g).values
-    m = np.arange(dim)
-    h = np.zeros((2 * dim, 2 * dim))
-    h[:dim, :dim] = np.diag(m + params.epsilon)
-    h[dim:, dim:] = np.diag(m - params.epsilon)
-    off = -(params.omega / 2.0) * d * (-1.0) ** np.arange(dim)[None, :]
-    h[:dim, dim:] = off
-    h[dim:, :dim] = off.T
-    return h
+    m = np.arange(n + 1)
+    off = -(params.omega / 2.0) * overlap_matrix(n, params.g).values * (-1.0) ** m[None, :]
+    return _two_blocks(np.diag(m + params.epsilon), np.diag(m - params.epsilon), off)
 
 
 def build_bare_rabi_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
@@ -88,12 +92,9 @@ def build_bare_rabi_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     k = np.arange(dim)
     g = params.g
     x = _ladder_x(dim)
-    h = np.zeros((2 * dim, 2 * dim))
-    h[:dim, :dim] = np.diag(k + params.epsilon + g * g) + g * x
-    h[dim:, dim:] = np.diag(k - params.epsilon + g * g) - g * x
-    h[:dim, dim:] = -(params.omega / 2.0) * np.eye(dim)
-    h[dim:, :dim] = -(params.omega / 2.0) * np.eye(dim)
-    return h
+    return _two_blocks(np.diag(k + params.epsilon + g * g) + g * x,
+                       np.diag(k - params.epsilon + g * g) - g * x,
+                       -(params.omega / 2.0) * np.eye(dim))
 
 
 def build_intermediate_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
@@ -102,13 +103,9 @@ def build_intermediate_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     dim = n + 1
     k = np.arange(dim)
     g = params.g
-    coupling = g * _ladder_x(dim) + params.epsilon * np.eye(dim)
-    h = np.zeros((2 * dim, 2 * dim))
-    h[:dim, :dim] = np.diag(params.omega / 2.0 + k + g * g)
-    h[dim:, dim:] = np.diag(-params.omega / 2.0 + k + g * g)
-    h[:dim, dim:] = coupling
-    h[dim:, :dim] = coupling
-    return h
+    return _two_blocks(np.diag(params.omega / 2.0 + k + g * g),
+                       np.diag(-params.omega / 2.0 + k + g * g),
+                       g * _ladder_x(dim) + params.epsilon * np.eye(dim))
 
 
 def build_lab_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
@@ -120,15 +117,9 @@ def build_lab_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     (slower) truncation error of the exponential coupling.
     """
     params = validate(params)
-    dim = n + 1
-    k = np.arange(dim)
-    wave = displacement_matrix(1j * params.eta, n)
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h[:dim, :dim] = np.diag(params.delta / 2.0 + k)
-    h[dim:, dim:] = np.diag(-params.delta / 2.0 + k)
-    h[:dim, dim:] = (params.omega / 2.0) * wave
-    h[dim:, :dim] = (params.omega / 2.0) * wave.conj().T
-    return h
+    k = np.arange(n + 1)
+    return _two_blocks(np.diag(params.delta / 2.0 + k), np.diag(-params.delta / 2.0 + k),
+                       (params.omega / 2.0) * displacement_matrix(1j * params.eta, n))
 
 
 def build_U_matrix(eta: float, n: int) -> np.ndarray:
@@ -168,14 +159,10 @@ def build_rwa_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     dim = n + 1
     k = np.arange(dim)
     g = params.g
-    h = np.zeros((2 * dim, 2 * dim))
-    h[:dim, :dim] = np.diag(params.omega / 2.0 + k + g * g)
-    h[dim:, dim:] = np.diag(-params.omega / 2.0 + k + g * g)
     # g·a σ₊ : ⟨e,k| H |g,k+1⟩ = g √(k+1)
-    coupling = g * np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    h[:dim, dim:] = coupling
-    h[dim:, :dim] = coupling.T
-    return h
+    return _two_blocks(np.diag(params.omega / 2.0 + k + g * g),
+                       np.diag(-params.omega / 2.0 + k + g * g),
+                       g * np.diag(np.sqrt(np.arange(1.0, dim)), 1))
 
 
 class RwaLevel(NamedTuple):

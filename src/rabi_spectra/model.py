@@ -25,6 +25,10 @@ __all__ = ["ModelParams", "BasisSpec", "validate", "MAX_TRUNCATION"]
 MAX_TRUNCATION = 2000
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Drive parameters of the trapped-ion two-level system.
@@ -85,6 +89,7 @@ class BasisSpec:
 
     Defaults are sized so that the physically interesting ranges
     (eta <= 1, omega <= 2, |delta| <= 2) converge with large margin.
+    Truncations and the level count are integers (not bools);
     ``n_max_hard`` may not exceed ``MAX_TRUNCATION``.
     """
 
@@ -96,6 +101,9 @@ class BasisSpec:
     levels_requested: int = 10
 
     def __post_init__(self):
+        for name in ("n_start", "n_step", "n_max_hard", "levels_requested"):
+            if not _is_integer(getattr(self, name)):
+                raise InvalidParam(name, "must be an integer")
         if not (0 < self.n_start <= self.n_max_hard):
             raise InvalidParam("n_start", "need 0 < n_start <= n_max_hard")
         if self.n_max_hard > MAX_TRUNCATION:

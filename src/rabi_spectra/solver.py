@@ -21,13 +21,13 @@ iteration trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, NoConvergence
 from .hamiltonian import RwaLevel, build_displaced_hamiltonian
-from .model import MAX_TRUNCATION, BasisSpec, ModelParams, validate
+from .model import MAX_TRUNCATION, BasisSpec, ModelParams, _is_integer, validate
 from . import states as _states
 
 __all__ = [
@@ -141,24 +141,28 @@ class SpectralResult:
         return [(self.coeff_c[i], self.coeff_d[i]) for i in range(self.levels)]
 
 
-def _level_slices(dec: EigenDecomposition, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    dim = dec.dim // 2
-    cols = dec.eigenvectors[:, :k]
-    c = cols[:dim].T.copy()
-    d = cols[dim:].T.copy()
-    window = min(_TAIL_WINDOW, dim)
-    tails = np.sum(c[:, dim - window:] ** 2, axis=1) + np.sum(d[:, dim - window:] ** 2, axis=1)
-    return dec.eigenvalues[:k].copy(), c, d, tails
+@dataclass(frozen=True)
+class _Step:
+    """One truncation's solve; ``drifts`` is against the walk's previous step (``inf`` first)."""
+
+    n: int
+    decomposition: EigenDecomposition
+    energies: np.ndarray
+    coeff_c: np.ndarray
+    coeff_d: np.ndarray
+    tail_weights: np.ndarray
+    parities: Optional[np.ndarray]
+    drifts: np.ndarray
 
 
-def _solve_at(params: ModelParams, n: int, k: int):
+def _solve_at(params: ModelParams, n: int, k: int, prev: Optional[_Step]) -> _Step:
     h = build_displaced_hamiltonian(params, n)
+    dim = n + 1
     if params.delta != 0.0:
         dec, parities = eigh_symmetric(h), None
     else:
         # Parity sectors: (c, d) = (p·s·u, u)/√2 with s = (-1)^m turns h into
         # one (n+1)-dimensional problem per parity p.
-        dim = n + 1
         s = (-1.0) ** np.arange(dim)
         sectors = [eigh_symmetric(h[:dim, :dim] + p * s[:, None] * h[:dim, dim:])
                    for p in (1.0, -1.0)]
@@ -172,8 +176,21 @@ def _solve_at(params: ModelParams, n: int, k: int):
         dec = EigenDecomposition(values[order], vectors * np.sign(pivots),
                                  max(sec.residual_norm for sec in sectors))
         parities = labels[order][:k]
-    energies, c, d, tails = _level_slices(dec, k)
-    return dec, energies, c, d, tails, parities
+    c = dec.eigenvectors[:dim, :k].T.copy()
+    d = dec.eigenvectors[dim:, :k].T.copy()
+    window = min(_TAIL_WINDOW, dim)
+    tails = np.sum(c[:, dim - window:] ** 2, axis=1) + np.sum(d[:, dim - window:] ** 2, axis=1)
+    energies = dec.eigenvalues[:k].copy()
+    drifts = np.full(k, np.inf) if prev is None else np.abs(energies - prev.energies)
+    return _Step(n, dec, energies, c, d, tails, parities, drifts)
+
+
+def _walk(params: ModelParams, n_list: Sequence[int], k: int) -> Iterator[_Step]:
+    """Solve at each truncation in turn, each drift taken against the one before."""
+    step = None
+    for n in n_list:
+        step = _solve_at(params, n, k, step)
+        yield step
 
 
 def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> SpectralResult:
@@ -185,63 +202,50 @@ def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> Sp
     """
     params = validate(params)
     basis = basis if basis is not None else BasisSpec()
-    k = basis.levels_requested
     trace: List[Tuple[int, np.ndarray]] = []
-    prev_energies: Optional[np.ndarray] = None
-    n = basis.n_start
-    while True:
-        dec, energies, c, d, tails, parities = _solve_at(params, n, k)
-        if prev_energies is None:
-            drifts = np.full(k, np.inf)
-        else:
-            drifts = np.abs(energies - prev_energies)
-        converged = (tails <= basis.tail_tol) & (drifts <= basis.drift_tol)
-        trace.append((n, energies))
-        done = bool(np.all(converged))
-        if done or n >= basis.n_max_hard:
-            result = SpectralResult(
-                params=params, basis=basis, n_final=n, energies=energies,
-                coeff_c=c, coeff_d=d, tail_weights=tails, drifts=drifts,
-                parities=parities, converged=converged, trace=tuple(trace),
-                decomposition=dec,
-            )
-            if done:
-                return result
-            raise ConvergenceFailure(
-                f"not converged at hard cap n={basis.n_max_hard}: "
-                f"max tail {np.max(tails):.3e}, max drift {np.max(drifts):.3e}",
-                result=result,
-            )
-        prev_energies = energies
-        n = min(n + basis.n_step, basis.n_max_hard)
+    n_list = [*range(basis.n_start, basis.n_max_hard, basis.n_step), basis.n_max_hard]
+    for step in _walk(params, n_list, basis.levels_requested):
+        trace.append((step.n, step.energies))
+        converged = (step.tail_weights <= basis.tail_tol) & (step.drifts <= basis.drift_tol)
+        if np.all(converged):
+            break
+    result = SpectralResult(
+        params=params, basis=basis, n_final=step.n, energies=step.energies,
+        coeff_c=step.coeff_c, coeff_d=step.coeff_d, tail_weights=step.tail_weights,
+        drifts=step.drifts, parities=step.parities, converged=converged,
+        trace=tuple(trace), decomposition=step.decomposition)
+    if result.all_converged:
+        return result
+    tests = [("tail", step.tail_weights, basis.tail_tol), ("drift", step.drifts, basis.drift_tol)]
+    failed = [f"{name} test fails at levels {', '.join(map(str, np.flatnonzero(~(values <= tol))))}"
+              f" (max {name} {np.max(values):.3e})" for name, values, tol in tests
+              if not np.all(values <= tol)]
+    raise ConvergenceFailure(f"not converged at hard cap n={step.n}: " + "; ".join(failed),
+                             result=result)
 
 
 def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) -> List[dict]:
     """Fixed-truncation snapshots: per (n, level) energy, tail weight and drift.
 
     Drift compares each truncation against the previous entry of ``n_list``
-    and is None for the first one. Input truncations must be increasing and
-    at most ``MAX_TRUNCATION``.
+    and is None for the first one. Truncations must be increasing integers
+    at most ``MAX_TRUNCATION``, and ``levels`` an integer >= 1.
     """
     params = validate(params)
-    if not n_list or any(n < 1 for n in n_list):
-        raise ValueError("n_list must hold truncations >= 1")
+    if len(n_list) == 0 or not all(_is_integer(n) and n >= 1 for n in n_list):
+        raise ValueError("n_list must hold integer truncations >= 1")
     if max(n_list) > MAX_TRUNCATION:
         raise ValueError(f"n_list must hold truncations <= {MAX_TRUNCATION}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
+    if not _is_integer(levels) or levels < 1:
+        raise ValueError("levels must be an integer >= 1")
     if levels > 2 * (min(n_list) + 1):
         raise ValueError("levels exceeds the smallest problem dimension")
-    rows = []
-    prev = None
-    for n in n_list:
-        _, energies, _, _, tails, _ = _solve_at(params, n, levels)
-        for i in range(levels):
-            drift = None if prev is None else abs(energies[i] - prev[i])
-            rows.append({"n": n, "level": i, "energy": float(energies[i]),
-                         "tail_weight": float(tails[i]), "drift": drift})
-        prev = energies
-    return rows
+    return [{"n": step.n, "level": i, "energy": float(step.energies[i]),
+             "tail_weight": float(step.tail_weights[i]),
+             "drift": None if step.n == n_list[0] else step.drifts[i]}
+            for step in _walk(params, n_list, levels) for i in range(levels)]
 
 
 def parity_expectation(c: np.ndarray, d: np.ndarray, params: ModelParams) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rabi_spectra import BasisSpec, InvalidParam, ModelParams, validate
@@ -67,10 +68,24 @@ def test_basis_spec_defaults_valid():
     dict(drift_tol=-1e-10),
     dict(levels_requested=50, n_start=40),
     dict(levels_requested=0),
+    # truncations and the level count are integers, never floats or bools
+    dict(n_start=20.5, n_max_hard=40.0),
+    dict(n_max_hard=400.0),
+    dict(n_step=2.5),
+    dict(levels_requested=10.0),
+    dict(n_start=True),
+    dict(levels_requested=True),
+    dict(n_step="20"),
 ])
 def test_basis_spec_invariants(kwargs):
     with pytest.raises(InvalidParam):
         BasisSpec(**kwargs)
+
+
+def test_basis_spec_accepts_numpy_integers():
+    spec = BasisSpec(n_start=np.int64(20), n_step=np.int32(10), n_max_hard=np.int64(60),
+                     levels_requested=np.int16(5))
+    assert (spec.n_start, spec.n_step, spec.n_max_hard, spec.levels_requested) == (20, 10, 60, 5)
 
 
 def test_basis_spec_truncation_cap():

@@ -263,6 +263,14 @@ class TestOverlapMatrix:
         assert np.max(np.abs(gram[:half, :half] - np.eye(half))) < 1e-8
 
 
+    def test_rows_unit_norm_at_large_coupling(self):
+        # Edge of the tested domain: eta = 2g = 10 at n = 400, where the low
+        # rows of D(2g) lie well inside the table.
+        table = overlap_matrix(400, 5.0).values
+        norms = np.linalg.norm(table[:10], axis=1)
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
 class TestExpmOracle:
     """Production coefficients against the truncated matrix exponential."""
 

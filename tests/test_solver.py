@@ -329,6 +329,67 @@ class TestTruncationTable:
             truncation_table(params_of(1, 0.2, 0), [20, MAX_TRUNCATION + 1], levels=5)
 
 
+    @pytest.mark.parametrize("n_list, levels", [
+        ([20.5, 40], 2),
+        ([20, 40.0], 2),
+        ([True, 40], 2),
+        ([20, 40], 2.0),
+        ([20, 40], True),
+        ([20, 40], 0),
+        ([20, 40], -3),
+    ])
+    def test_rejects_non_integers_and_no_levels(self, monkeypatch, n_list, levels):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve reached past the input checks")
+
+        monkeypatch.setattr(solver, "_solve_at", unreachable)
+        with pytest.raises(ValueError):
+            truncation_table(params_of(1, 0.2, 0), n_list, levels)
+
+    def test_accepts_numpy_integers(self):
+        plain = truncation_table(params_of(1, 0.2, 0.3), [20, 40], 3)
+        numpy = truncation_table(params_of(1, 0.2, 0.3), np.array([20, 40]), np.int64(3))
+        assert [r["energy"] for r in numpy] == [r["energy"] for r in plain]
+        assert [r["n"] for r in numpy] == [r["n"] for r in plain]
+
+    @pytest.mark.parametrize("point", [(1, 0.6, 0), (1, 0.6, 0.3), (2, 1.0, -0.5)])
+    def test_matches_solve_spectrum(self, point):
+        # Both walk the same truncations through the same step, so they agree bitwise.
+        basis = BasisSpec(n_start=10, n_step=10, levels_requested=5)
+        result = solve_spectrum(params_of(*point), basis)
+        assert len(result.trace) >= 2
+        rows = truncation_table(params_of(*point), [n for n, _ in result.trace], 5)
+        for n, energies in result.trace:
+            assert [r["energy"] for r in rows if r["n"] == n] == energies.tolist()
+        last = [r for r in rows if r["n"] == result.n_final]
+        assert [r["tail_weight"] for r in last] == result.tail_weights.tolist()
+        assert [r["drift"] for r in last] == result.drifts.tolist()
+
+
+class TestConvergenceFailureText:
+    def failure(self, point, basis):
+        with pytest.raises(ConvergenceFailure) as err:
+            solve_spectrum(params_of(*point), basis)
+        return str(err.value)
+
+    def test_names_drift_levels_only(self):
+        text = self.failure((1, 3, 0.5), BasisSpec(n_max_hard=45))
+        assert text == ("not converged at hard cap n=45: "
+                        "drift test fails at levels 8, 9 (max drift 2.000e-10)")
+
+    def test_names_each_failing_test(self):
+        basis = BasisSpec(n_start=6, n_step=1, n_max_hard=8, levels_requested=4)
+        text = self.failure((1, 0.6, 0.2), basis)
+        assert "tail test fails at levels 0, 1, 2, 3 (max tail 1.691e-03)" in text
+        assert "drift test fails at levels 1, 2, 3 (max drift 1.187e-07)" in text
+
+    def test_single_truncation_has_infinite_drift(self):
+        basis = BasisSpec(n_start=40, n_max_hard=40, levels_requested=3)
+        text = self.failure((1, 0.2, 0), basis)
+        assert text == ("not converged at hard cap n=40: "
+                        "drift test fails at levels 0, 1, 2 (max drift inf)")
+
+
 class TestGroundStateClaims:
     @pytest.mark.parametrize("omega", [1.0, 2.0])
     @pytest.mark.parametrize("eta", [0.05, 0.2, 0.6, 1.0])

@@ -17,7 +17,7 @@ from .errors import (
     NormLoss,
     RabiSpectraError,
 )
-from .model import BasisSpec, ModelParams, validate
+from .model import MAX_TRUNCATION, BasisSpec, ModelParams, validate
 from .overlap import (
     OverlapMatrix,
     displaced_overlap,

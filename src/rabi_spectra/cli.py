@@ -12,9 +12,10 @@ file or manifest), 4 initial state outside the converged span (evolve).
 Exit 2 includes an unwritable ``--out``; a ``converge`` truncation list that
 is empty, not strictly increasing, holds a truncation below 1 or is too small
 for ``--levels``; ``converge --levels`` below 1; a truncation above
-``model.MAX_TRUNCATION`` (``--n-max-hard`` or a ``converge`` truncation); and a
-request for more than ``MAX_ROWS`` rows in one data file (``evolve`` time
-steps, ``sweep`` steps x levels). All are checked before any solve.
+``model.MAX_TRUNCATION`` (``--n-max-hard`` or a ``converge`` truncation); a
+``--tail-tol`` or ``--drift-tol`` that is not finite and > 0; and a request
+for more than ``MAX_ROWS`` rows in one data file (``evolve`` time steps,
+``sweep`` steps x levels). All are checked before any solve.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .model import ModelParams, validate
-from .overlap import displacement_matrix, overlap_matrix
+from .overlap import displacement_matrix
 
 __all__ = [
     "build_displaced_hamiltonian",
@@ -68,14 +68,14 @@ def build_displaced_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
 
     Both displaced blocks are diagonal (m ± ε; the g² shift is absorbed by
     the displaced number operators). The drive couples the blocks through
-    the signed overlap coefficients: entry (c_m, d_k) = -(Ω/2)(-1)^k D[m,k].
-    The result is exactly symmetric because D is.
+    one displacement: entry (c_m, d_k) = -(Ω/2)⟨m|D(2g)|k⟩, real for real g.
+    The (d, c) block is its transpose, so the result is exactly symmetric.
     """
     params = validate(params)
     if n < 1:
         raise ValueError("truncation must be >= 1")
     m = np.arange(n + 1)
-    off = -(params.omega / 2.0) * overlap_matrix(n, params.g).values * (-1.0) ** m[None, :]
+    off = -(params.omega / 2.0) * displacement_matrix(2.0 * params.g, n).real
     return _two_blocks(np.diag(m + params.epsilon), np.diag(m - params.epsilon), off)
 
 

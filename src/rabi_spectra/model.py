@@ -29,6 +29,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Drive parameters of the trapped-ion two-level system.
@@ -67,8 +71,7 @@ def validate(params: ModelParams) -> ModelParams:
     """
     for name in ("omega", "eta", "delta"):
         value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating)):
+        if not _is_real(value):
             raise InvalidParam(name, "must be a real number")
         if not math.isfinite(value):
             raise InvalidParam(name, "must be finite")
@@ -89,8 +92,8 @@ class BasisSpec:
 
     Defaults are sized so that the physically interesting ranges
     (eta <= 1, omega <= 2, |delta| <= 2) converge with large margin.
-    Truncations and the level count are integers (not bools);
-    ``n_max_hard`` may not exceed ``MAX_TRUNCATION``.
+    Truncations and the level count are integers and the tolerances finite
+    reals > 0 (none a bool); ``n_max_hard`` may not exceed ``MAX_TRUNCATION``.
     """
 
     n_start: int = 40
@@ -110,9 +113,9 @@ class BasisSpec:
             raise InvalidParam("n_max_hard", f"must be <= {MAX_TRUNCATION}")
         if self.n_step < 1:
             raise InvalidParam("n_step", "must be >= 1")
-        if not (self.tail_tol > 0):
-            raise InvalidParam("tail_tol", "must be > 0")
-        if not (self.drift_tol > 0):
-            raise InvalidParam("drift_tol", "must be > 0")
+        for name in ("tail_tol", "drift_tol"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0 < value < math.inf):
+                raise InvalidParam(name, "must be a finite real number > 0")
         if not (0 < self.levels_requested <= self.n_start):
             raise InvalidParam("levels_requested", "need 0 < levels_requested <= n_start")

@@ -7,33 +7,34 @@ elements of a single displacement by 2g,
     ⟨m|D(β)|n⟩ = phase · sqrt(p!/q!) · |β|^α · e^(-|β|²/2) · L_p^(α)(|β|²),
 
 with p = min(m, n), q = max(m, n), α = q - p and L an associated Laguerre
-polynomial. Everything here reads from one kernel, ``_magnitudes``, which
-runs the Laguerre three-term recurrence upward in p, vectorised across all
-diagonals α at once, and returns the real table of magnitudes. That table
-depends only on |β|², and each entry is computed by the same sequence of
-floating-point operations whatever the table size, so scalar reads agree
-with bulk tables bit for bit and the table at truncation n is exactly the
-leading block of any larger one. The entry points differ only in the phase
-they apply:
+polynomial. One builder, ``displacement_matrix``, makes every table: it
+holds the β = 0 case and the one finiteness check. Its kernel,
+``_magnitudes``, runs the Laguerre three-term recurrence upward in p,
+vectorised across all diagonals α at once, and returns the real table of
+magnitudes; ``_displacement`` multiplies in the phase (β/|β|)^α below the
+diagonal (m >= n) and (-β*/|β|)^α above it, built by repeated
+multiplication so bases on the real or imaginary axis give exact ±1, ±i.
+Each entry takes the same floating-point operations whatever the table
+size, so the table at truncation n is exactly the leading block of any
+larger one, and a scalar read of one entry agrees with the bulk table bit
+for bit. Every other entry point reads this table:
 
-* ``displacement_matrix`` and ``displacement_element``: (β/|β|)^α below the
-  diagonal (m >= n) and (-β*/|β|)^α above it, built by repeated
-  multiplication so bases on the real or imaginary axis give exact ±1, ±i;
-* ``overlap_matrix`` and ``displaced_overlap``: the factor (-1)^n on top of
-  D(2g), which for real g is (-1)^min(m, n) when g > 0 and (-1)^max(m, n)
-  when g < 0.
+* ``displacement_element`` reads one entry of it;
+* ``overlap_matrix`` multiplies the real table of D(2g) by the column sign
+  (-1)^k, the one place that convention lives; ``displaced_overlap``,
+  ``overlap_ab`` and ``overlap_ba`` read entries of that table.
 
 For real g, D(-g) = D(g)ᵀ exactly, so one table serves both directions of
 a basis change.
 
-The recurrence is tested on m, n <= 400 with |g| <= 5 (η <= 10), where the
-low rows of D(2g) keep unit norm within 1e-12; outside it a table may
-underflow to zero or overflow (``OverflowError``). The textbook alternating
-factorial sum cancels catastrophically once m, n and g are large
-(condition number ~1e20 at m = n = 100, g = 1.5). The alternating sum stays
-as ``displaced_overlap_series``, in log-magnitude/sign form, because it
-shares no code with the kernel and so serves as an independent cross-check
-where it is well conditioned.
+The recurrence is tested on m, n <= 400 with |β| <= 10 (|g| <= 5, η <= 10),
+where the low rows of D(2g) keep unit norm within 1e-12; outside it a table
+may underflow to zero or overflow (``OverflowError``). The textbook
+alternating factorial sum cancels catastrophically once m, n and g are
+large (condition number ~1e20 at m = n = 100, g = 1.5). The alternating
+sum stays as ``displaced_overlap_series``, in log-magnitude/sign form,
+because it shares no code with the kernel and so serves as an independent
+cross-check where it is well conditioned.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def _magnitudes(r: float, n: int) -> np.ndarray:
     Entry (m, k) must take the same floating-point operations for every
     n >= max(m, k): the bitwise scalar == bulk and nested-truncation
     guarantees rest on it. Out-of-range arguments overflow to inf/nan;
-    callers detect that and signal OverflowError, so the intermediate
-    warnings are suppressed here.
+    ``displacement_matrix`` detects that and signals OverflowError, so the
+    intermediate warnings are suppressed here.
     """
     dim = n + 1
     x = r * r
@@ -103,28 +104,23 @@ def _displacement(beta: complex, n: int) -> np.ndarray:
     above = np.cumprod(np.concatenate([[1.0 + 0.0j], np.full(n, -beta.conjugate() / r)]))
     phases = np.concatenate([above[:0:-1], below])
     idx = np.arange(dim)
-    return phases[n + np.subtract.outer(idx, idx)] * _magnitudes(r, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return phases[n + np.subtract.outer(idx, idx)] * _magnitudes(r, n)
 
 
 def displaced_overlap(m: int, n: int, g: float) -> float:
     """Overlap coefficient between number states displaced by +g and -g.
 
-    Equals (-1)^n ⟨m|D(2g)|n⟩; symmetric in (m, n) and real for real g.
-    Within 5e-13 of 60-digit references for m, n <= 100 and |g| <= 1.5.
-    At g = 0 returns (-1)^m δ_mn exactly.
+    Equals (-1)^n ⟨m|D(2g)|n⟩, entry (m, n) of ``overlap_matrix``;
+    symmetric in (m, n) and real for real g. Within 5e-13 of 60-digit
+    references for m, n <= 100 and |g| <= 1.5. At g = 0 returns
+    (-1)^m δ_mn exactly.
     """
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be >= 0")
     if not math.isfinite(g):
         raise ValueError("g must be finite")
-    if g == 0.0:
-        return (-1.0) ** m if m == n else 0.0
-    value = float(_magnitudes(2.0 * abs(g), max(m, n))[m, n])
-    if (min(m, n) if g > 0.0 else max(m, n)) % 2:
-        value = -value
-    if not math.isfinite(value):
-        raise OverflowError(f"displaced_overlap({m}, {n}, {g}) is not representable")
-    return value
+    return float(overlap_matrix(max(m, n), g).values[m, n])
 
 
 def displaced_overlap_series(m: int, n: int, g: float) -> float:
@@ -172,29 +168,28 @@ def overlap_ba(m: int, n: int, g: float) -> float:
 def displacement_element(beta: complex, m: int, n: int) -> complex:
     """Matrix element ⟨m| exp(β a† - β* a) |n⟩ of the displacement operator.
 
-    Accurate to ~1e-12 for m, n <= 400 within the documented domain
-    |β| <= 4. β = 0 gives δ_mn exactly.
+    Entry (m, n) of ``displacement_matrix``, so accurate to ~1e-12 over
+    the same tested domain (m, n <= 400, |β| <= 10). β = 0 gives δ_mn
+    exactly.
     """
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be >= 0")
-    beta = complex(beta)
-    if beta == 0:
-        return complex(1.0 if m == n else 0.0)
-    value = complex(_displacement(beta, max(m, n))[m, n])
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise OverflowError(f"displacement_element({beta}, {m}, {n}) is not representable")
-    return value
+    return complex(displacement_matrix(beta, max(m, n))[m, n])
 
 
 def displacement_matrix(beta: complex, n: int) -> np.ndarray:
     """Dense (n+1) x (n+1) matrix of ⟨m| exp(β a† - β* a) |k⟩.
 
-    Entries are bit-identical to individual ``displacement_element`` calls.
+    The one table builder here: β = 0 gives the identity exactly, and a
+    non-finite entry (far outside the tested domain) raises OverflowError.
     """
     beta = complex(beta)
     if beta == 0:
         return np.eye(n + 1, dtype=complex)
-    return _displacement(beta, n)
+    table = _displacement(beta, n)
+    if not np.all(np.isfinite(table)):
+        raise OverflowError(f"displacement_matrix(beta={beta}, n={n}) is not representable")
+    return table
 
 
 @dataclass(frozen=True)
@@ -214,15 +209,12 @@ class OverlapMatrix:
 
 
 def overlap_matrix(n: int, g: float) -> OverlapMatrix:
-    """Build the (n+1) x (n+1) overlap table, entry-compatible with ``displaced_overlap``."""
+    """The (n+1) x (n+1) overlap table (-1)^k ⟨m|D(2g)|k⟩.
+
+    The sign is (-1)^min(m, k) for g > 0 and (-1)^max(m, k) for g < 0, so
+    the table is symmetric.
+    """
     if n < 0:
         raise ValueError("truncation must be >= 0")
-    idx = np.arange(n + 1)
-    if g == 0.0:
-        return OverlapMatrix(g=g, n=n, values=np.diag((-1.0) ** idx))
-    values = _magnitudes(2.0 * abs(g), n)
-    nearest = np.minimum.outer(idx, idx) if g > 0.0 else np.maximum.outer(idx, idx)
-    values[nearest % 2 == 1] *= -1.0
-    if not np.all(np.isfinite(values)):
-        raise OverflowError(f"overlap_matrix(n={n}, g={g}) is not representable")
-    return OverlapMatrix(g=g, n=n, values=values)
+    signs = (-1.0) ** np.arange(n + 1)
+    return OverlapMatrix(g=g, n=n, values=displacement_matrix(2.0 * g, n).real * signs)

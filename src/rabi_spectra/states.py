@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Frame",
     "QuantumState",
+    "basis_state",
     "eigvec_to_bare",
     "hadamard_on_spin",
     "ideal_cat_state",

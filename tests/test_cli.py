@@ -386,6 +386,12 @@ class TestExitContract:
         self.assert_rejected(["spectrum", "--omega", "1", "--eta", "1e5", "--delta", "0",
                               "--out", str(tmp_path / "spec.csv")], tmp_path, capsys)
 
+    def test_infinite_tolerance(self, tmp_path, capsys):
+        # An infinite tolerance would pass every level at the first truncation.
+        self.assert_rejected(["spectrum", "--omega", "1", "--eta", "3", "--delta", "0.5",
+                              "--tail-tol", "inf", "--drift-tol", "inf",
+                              "--out", str(tmp_path / "spec.csv")], tmp_path, capsys)
+
     def test_out_in_missing_directory(self, tmp_path, capsys):
         self.assert_rejected(["spectrum", "--omega", "1", "--eta", "0.2", "--delta", "0",
                               "--out", str(tmp_path / "missing" / "spec.csv")], tmp_path, capsys)

@@ -14,6 +14,7 @@ from rabi_spectra import (
     build_rwa_hamiltonian,
     build_U_matrix,
     build_V_matrix,
+    displacement_matrix,
     rwa_spectrum,
     validate,
 )
@@ -44,6 +45,18 @@ class TestDisplacedBuilder:
         h = build_displaced_hamiltonian(params_of(1, 0.2, 0), 12)
         expected = 0.1 * math.exp(-0.02)
         assert h[0, 13 + 1] == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("omega, eta", [(1, 0.2), (2, 0.6), (0.5, 6.0), (1, 0.0)])
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_coupling_is_displacement_by_2g(self, omega, eta, n):
+        # c-d block -(Ω/2) D(2g); its transpose, the d-c block, is -(Ω/2) D(-2g)
+        p = params_of(omega, eta, 0.3)
+        h = build_displaced_hamiltonian(p, n)
+        dim = n + 1
+        coupling = -(omega / 2.0) * displacement_matrix(2.0 * p.g, n).real
+        assert h[:dim, dim:].tobytes() == coupling.tobytes()
+        reverse = -(omega / 2.0) * displacement_matrix(-2.0 * p.g, n).real
+        assert np.array_equal(h[dim:, :dim], reverse)
 
     def test_bias_on_diagonals(self):
         h = build_displaced_hamiltonian(params_of(1, 0.2, 1.4), 8)
@@ -94,6 +107,10 @@ class TestLabBuilder:
         split = math.sqrt(delta ** 2 + omega ** 2) / 2.0
         expected = np.sort(np.concatenate([np.arange(31) - split, np.arange(31) + split]))
         assert np.max(np.abs(w - expected)) < 1e-12
+
+    def test_coupling_too_large_raises(self):
+        with pytest.raises(OverflowError):
+            build_lab_hamiltonian(params_of(1, 1e5, 0), 40)
 
     def test_matches_working_frame(self):
         p = params_of(1, 0.2, 0)

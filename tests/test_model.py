@@ -76,6 +76,13 @@ def test_basis_spec_defaults_valid():
     dict(n_start=True),
     dict(levels_requested=True),
     dict(n_step="20"),
+    # tolerances are finite real numbers > 0, never bools or strings
+    dict(tail_tol=math.inf),
+    dict(drift_tol=math.inf),
+    dict(tail_tol=math.nan),
+    dict(drift_tol=-math.inf),
+    dict(tail_tol="1e-10"),
+    dict(drift_tol=True),
 ])
 def test_basis_spec_invariants(kwargs):
     with pytest.raises(InvalidParam):

@@ -2,6 +2,7 @@
 symmetries, and the dual evaluation paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,15 @@ class TestDisplacementMatrix:
         mat = displacement_matrix(beta, 30)
         assert np.max(np.abs(mat - oracle[:31, :31])) < 1e-10
 
+    @pytest.mark.parametrize("beta, n", [(1e5, 40), (40j, 400)])
+    def test_overflow_raises_without_warning(self, beta, n):
+        # Far outside the tested domain the kernel's entries turn to nan;
+        # the table must say so, and not through a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                displacement_matrix(beta, n)
+
 
 class TestOverlapMatrix:
     def test_zero_coupling_diagonal(self):
@@ -245,6 +255,14 @@ class TestOverlapMatrix:
         for m in range(21):
             for n in range(21):
                 assert table.values[m, n] == displaced_overlap(m, n, -0.4)
+
+    @pytest.mark.parametrize("g", [0.37, -0.4, 0.0, 2.5, -5.0])
+    @pytest.mark.parametrize("n", [0, 7, 60])
+    def test_is_displacement_table_with_column_sign(self, g, n):
+        values = overlap_matrix(n, g).values
+        expected = displacement_matrix(2.0 * g, n).real * (-1.0) ** np.arange(n + 1)
+        assert values.tobytes() == expected.tobytes()
+        assert np.array_equal(values, values.T)
 
     def test_read_only(self):
         table = overlap_matrix(5, 0.1)

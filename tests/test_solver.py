@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from braak import g_zeros
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rabi_spectra import (
@@ -257,6 +258,31 @@ class TestSolverProperties:
         trace = solve_spectrum(params_of(omega, eta, delta), basis).trace
         for (_, e_a), (_, e_b) in zip(trace, trace[1:]):
             assert np.all(e_b - e_a <= 1e-12)
+
+
+class TestBraakOracle:
+    """At δ = 0 every converged level is a zero of Braak's G-function, which
+    truncates nothing, and its parity label p picks G_(-p)."""
+
+    @settings(max_examples=20)
+    @given(omega=st.floats(min_value=0.3, max_value=2.0),
+           eta=st.floats(min_value=0.0, max_value=6.0))
+    @example(omega=1.0, eta=0.2)
+    @example(omega=1.0, eta=1.0)
+    @example(omega=2.0, eta=3.0)
+    @example(omega=0.5, eta=6.0)
+    def test_levels_are_zeros_of_g(self, omega, eta):
+        # The decoupled limit is exceptional: at Ω = 1 levels of one parity
+        # pair up into double zeros of G, and at Ω = 2 they sit on its poles.
+        assume(eta >= 1e-3 or min(abs(omega - 1.0), abs(omega - 2.0)) >= 1e-3)
+        params = params_of(omega, eta, 0.0)
+        result = solve_spectrum(params)
+        levels = result.energies[result.converged]
+        parities = result.parities[result.converged]
+        x_max = float(np.max(levels)) + 1.0
+        zeros = {p: g_zeros(params.g, omega / 2.0, -p, x_max) for p in (1, -1)}
+        for energy, parity in zip(levels, parities):
+            assert np.min(np.abs(zeros[int(parity)] - energy)) < 1e-10
 
 
 class TestClassifyLevels:

@@ -210,7 +210,8 @@ def _solve_or_partial(params: ModelParams, basis: BasisSpec) -> Tuple[SpectralRe
 
 
 def _solve_summary(result: SpectralResult) -> dict:
-    return {"n_final": result.n_final, "converged": [bool(v) for v in result.converged]}
+    return {"n_final": result.n_final, "truncations": [n for n, _ in result.trace],
+            "converged": [bool(v) for v in result.converged]}
 
 
 def _check_rows(name: str, rows: int) -> None:

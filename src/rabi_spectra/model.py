@@ -92,6 +92,10 @@ class BasisSpec:
 
     Defaults are sized so that the physically interesting ranges
     (eta <= 1, omega <= 2, |delta| <= 2) converge with large margin.
+    ``n_start`` is a lower bound on the first truncation: the solver walks
+    the grid ``n_start, n_start + n_step, …, n_max_hard`` from its first
+    point at or above (eta + √levels_requested)², the reach of the lowest
+    levels, or visits ``n_max_hard`` alone if none is that large.
     Truncations and the level count are integers and the tolerances finite
     reals > 0 (none a bool); ``n_max_hard`` may not exceed ``MAX_TRUNCATION``.
     """

@@ -27,7 +27,7 @@ for bit. Every other entry point reads this table:
 For real g, D(-g) = D(g)ᵀ exactly, so one table serves both directions of
 a basis change.
 
-The recurrence is tested on m, n <= 400 with |β| <= 10 (|g| <= 5, η <= 10),
+The recurrence is tested on m, n <= 400 with |β| <= 14 (|g| <= 7, η <= 14),
 where the low rows of D(2g) keep unit norm within 1e-12; outside it a table
 may underflow to zero or overflow (``OverflowError``). The textbook
 alternating factorial sum cancels catastrophically once m, n and g are
@@ -169,7 +169,7 @@ def displacement_element(beta: complex, m: int, n: int) -> complex:
     """Matrix element ⟨m| exp(β a† - β* a) |n⟩ of the displacement operator.
 
     Entry (m, n) of ``displacement_matrix``, so accurate to ~1e-12 over
-    the same tested domain (m, n <= 400, |β| <= 10). β = 0 gives δ_mn
+    the same tested domain (m, n <= 400, |β| <= 14). β = 0 gives δ_mn
     exactly.
     """
     if m < 0 or n < 0:

@@ -16,10 +16,20 @@ tail coefficient can vanish accidentally, so neither test is trusted
 alone. Because the truncated bases are nested, each tracked eigenvalue is
 non-increasing as the basis grows, which the tests assert along the
 iteration trace.
+
+Both tests read zero on a truncation too small for the levels: D(2g)
+couples the lowest k levels to displaced states out to about (η + √k)²
+quanta, and below that the missing states leave no trace in the tails or
+the drifts. The adaptive walk therefore starts at the first grid point at
+or above that reach (never below ``n_start``). Since each drift is taken
+against the step before, the walk from there takes the same steps as a
+walk from ``n_start`` once past its first point, so every result that the
+longer walk certifies past that point comes out bitwise the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -196,14 +206,22 @@ def _walk(params: ModelParams, n_list: Sequence[int], k: int) -> Iterator[_Step]
 def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> SpectralResult:
     """Adaptive eigensolution of the displaced-basis problem.
 
-    Grows the truncation from ``n_start`` in steps of ``n_step`` until every
+    Walks the grid ``n_start, n_start + n_step, …, n_max_hard`` until every
     requested level passes both the tail and the drift test, or raises
     :class:`ConvergenceFailure` (carrying the best result) at the hard cap.
+    The walk skips the grid points below (η + √k)², k = ``levels_requested``,
+    which cannot hold the levels; if none is that large it visits
+    ``n_max_hard`` alone. ``trace`` lists the truncations visited.
     """
     params = validate(params)
     basis = basis if basis is not None else BasisSpec()
     trace: List[Tuple[int, np.ndarray]] = []
-    n_list = [*range(basis.n_start, basis.n_max_hard, basis.n_step), basis.n_max_hard]
+    # D(2g) carries the lowest k levels out to about (η + √k)² quanta; a
+    # smaller truncation cannot hold them. The square is a product so that a
+    # huge η gives inf here rather than an OverflowError from ``**``.
+    reach = params.eta + math.sqrt(basis.levels_requested)
+    n_list = [n for n in (*range(basis.n_start, basis.n_max_hard, basis.n_step), basis.n_max_hard)
+              if n >= reach * reach] or [basis.n_max_hard]
     for step in _walk(params, n_list, basis.levels_requested):
         trace.append((step.n, step.energies))
         converged = (step.tail_weights <= basis.tail_tol) & (step.drifts <= basis.drift_tol)

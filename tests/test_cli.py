@@ -101,6 +101,26 @@ class TestSpectrum:
         manifest = json.loads(read_bytes(out + ".manifest.json"))
         assert not all(manifest["converged"])
 
+    def test_manifest_records_truncations(self, tmp_path):
+        # The lowest ten levels reach (6 + √10)² ≈ 84 quanta at η = 6, so the
+        # walk starts at 100, the first grid point above that.
+        out = str(tmp_path / "spec.csv")
+        assert run(["spectrum", "--omega", "1", "--eta", "6", "--delta", "0.3",
+                    "--out", out]) == 0
+        manifest = json.loads(read_bytes(out + ".manifest.json"))
+        assert manifest["truncations"][0] == 100
+        assert manifest["truncations"][-1] == manifest["n_final"]
+
+    @pytest.mark.parametrize("argv", [["--eta", "20", "--delta", "0.3"],
+                                      ["--eta", "100", "--delta", "0", "--n-max-hard", "60"]])
+    def test_large_coupling_never_certified(self, tmp_path, argv):
+        # No grid point holds the levels, so the one truncation visited has no drift.
+        out = str(tmp_path / "spec.csv")
+        assert run(["spectrum", "--omega", "1", *argv, "--out", out]) == 3
+        manifest = json.loads(read_bytes(out + ".manifest.json"))
+        assert manifest["truncations"] == [manifest["n_final"]]
+        assert not any(manifest["converged"])
+
 
 class TestCompareRwa:
     def test_pairing_table(self, tmp_path):
@@ -384,6 +404,10 @@ class TestExitContract:
 
     def test_coupling_too_large(self, tmp_path, capsys):
         self.assert_rejected(["spectrum", "--omega", "1", "--eta", "1e5", "--delta", "0",
+                              "--out", str(tmp_path / "spec.csv")], tmp_path, capsys)
+
+    def test_coupling_overflows_at_hard_cap(self, tmp_path, capsys):
+        self.assert_rejected(["spectrum", "--omega", "1", "--eta", "100", "--delta", "0",
                               "--out", str(tmp_path / "spec.csv")], tmp_path, capsys)
 
     def test_infinite_tolerance(self, tmp_path, capsys):

@@ -282,11 +282,13 @@ class TestOverlapMatrix:
 
 
     def test_rows_unit_norm_at_large_coupling(self):
-        # Edge of the tested domain: eta = 2g = 10 at n = 400, where the low
-        # rows of D(2g) lie well inside the table.
-        table = overlap_matrix(400, 5.0).values
-        norms = np.linalg.norm(table[:10], axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-12
+        # Up to the edge of the tested domain, eta = 2g = 14 at n = 400: the
+        # low rows of D(2g) reach out to about (eta + 3)² < 400 quanta, so
+        # they lie inside the table. At eta = 16 they no longer do.
+        for g in (5.0, 7.0):
+            table = overlap_matrix(400, g).values
+            norms = np.linalg.norm(table[:10], axis=1)
+            assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 class TestExpmOracle:

@@ -1,5 +1,7 @@
 """Eigensolver contract, adaptive truncation, parity, and level pairing."""
 
+import math
+
 import numpy as np
 import pytest
 from braak import g_zeros
@@ -162,6 +164,8 @@ class TestSolveSpectrum:
         partial = err.value.result
         assert partial is not None
         assert partial.n_final == 4
+        # No grid point reaches (0.8 + √2)² ≈ 4.9, so the walk visits n_max_hard alone.
+        assert [n for n, _ in partial.trace] == [4]
         assert not partial.all_converged
 
     def test_deterministic_output(self):
@@ -258,6 +262,72 @@ class TestSolverProperties:
         trace = solve_spectrum(params_of(omega, eta, delta), basis).trace
         for (_, e_a), (_, e_b) in zip(trace, trace[1:]):
             assert np.all(e_b - e_a <= 1e-12)
+
+
+def full_walk(params, basis):
+    """The walk from ``n_start`` over the whole grid, with the solver's stop rule."""
+    grid = [*range(basis.n_start, basis.n_max_hard, basis.n_step), basis.n_max_hard]
+    for step in solver._walk(params, grid, basis.levels_requested):
+        converged = (step.tail_weights <= basis.tail_tol) & (step.drifts <= basis.drift_tol)
+        if np.all(converged):
+            break
+    return step, converged
+
+
+class TestWalkStart:
+    """The walk starts at the first grid point that can hold the levels; for
+    η <= 10 it ends bitwise where the walk from ``n_start`` ends."""
+
+    @settings(max_examples=30)
+    @given(omega=st.floats(min_value=0.3, max_value=2.0),
+           eta=st.floats(min_value=0.0, max_value=10.0),
+           delta=st.floats(min_value=-2.0, max_value=2.0),
+           levels=st.integers(min_value=1, max_value=10))
+    @example(omega=1.0, eta=6.0, delta=0.3, levels=10)
+    @example(omega=1.0, eta=10.0, delta=0.0, levels=10)
+    @example(omega=0.3, eta=0.5, delta=0.0, levels=1)
+    def test_skips_only_points_that_decide_nothing(self, omega, eta, delta, levels):
+        params = params_of(omega, eta, delta)
+        basis = BasisSpec(levels_requested=levels)
+        try:
+            result = solve_spectrum(params, basis)
+        except ConvergenceFailure as err:
+            result = err.result
+        step, converged = full_walk(params, basis)
+        assert result.n_final == step.n
+        for name in ("energies", "coeff_c", "coeff_d", "tail_weights", "drifts"):
+            assert getattr(result, name).tobytes() == getattr(step, name).tobytes(), name
+        assert np.array_equal(result.converged, converged)
+        reach = (eta + math.sqrt(levels)) ** 2
+        grid = range(basis.n_start, basis.n_max_hard + 1, basis.n_step)
+        assert result.trace[0][0] == min(n for n in grid if n >= max(basis.n_start, reach))
+
+
+@pytest.fixture(scope="module", params=[12.0, 14.0])
+def strong_point(request):
+    """(η, lowest ten bare-basis energies at n = 400) at Ω = 1, δ = 0.3; the
+    bare basis is converged to ~1e-13 there and is diagonalized once."""
+    eta = request.param
+    h = build_bare_rabi_hamiltonian(params_of(1.0, eta, 0.3), 400)
+    return eta, np.linalg.eigvalsh(h)[:10]
+
+
+class TestLargeCoupling:
+    """Above η ≈ 10.5 a walk from n = 40 certified wrong energies at n = 60,
+    where the overlap table underflows and tails and drifts read zero."""
+
+    def test_matches_bare_oracle(self, solve, strong_point):
+        eta, oracle = strong_point
+        result = solve(1.0, eta, 0.3)
+        assert result.all_converged
+        assert np.max(np.abs(result.energies - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("point", [(1, 20, 0.3), (1, 30, 0)])
+    def test_beyond_hard_cap_fails(self, point):
+        with pytest.raises(ConvergenceFailure) as err:
+            solve_spectrum(params_of(*point))
+        assert not err.value.result.all_converged
+        assert err.value.result.n_final == 400
 
 
 class TestBraakOracle:

@@ -28,7 +28,7 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from . import __version__
 from .errors import ConvergenceFailure, IncompleteBasis, InvalidParam, RabiSpectraError
 from .hamiltonian import rwa_spectrum
 from .model import BasisSpec, ModelParams, validate
-from .solver import LevelPairing, SpectralResult, classify_levels, solve_spectrum, truncation_table
+from .solver import (LevelPairing, SpectralResult, _reach, classify_levels, solve_spectrum,
+                     truncation_table)
 from .states import (
     basis_state,
     eigvec_to_bare,
@@ -90,10 +91,17 @@ def _write_text(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [f"# schema={SCHEMA_VERSION}", ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: Sequence[str],
+               rows: Union[np.ndarray, Iterable[Sequence]]) -> None:
+    """Rows of ``_fmt`` values, or a 2-D float array, which one %.17g format
+    string renders whole, with no Python call per row or value."""
+    text = f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n"
+    if isinstance(rows, np.ndarray):
+        row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        text += row_fmt * rows.shape[0] % tuple(rows.ravel().tolist())
+    else:
+        text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    _write_text(path, text)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -328,8 +336,15 @@ def _cmd_converge(args, command: str) -> int:
     except ValueError as exc:
         raise InvalidParam("n_list", str(exc)) from exc
     _write_csv(args.out, tuple(rows[0]), [r.values() for r in rows])
-    _write_manifest(args.out, params, None, command, {"n_list": n_list, "levels": args.levels},
+    reach = _reach(params, args.levels)
+    below = [n for n in n_list if n < reach]
+    _write_manifest(args.out, params, None, command,
+                    {"n_list": n_list, "levels": args.levels, "below_reach": below},
                     [args.out])
+    if below:
+        print(f"warning: truncation(s) {', '.join(map(str, below))} lie below (eta + "
+              f"sqrt(levels))^2 = {reach:.6g}, where tails and drifts cannot show "
+              "the missing states", file=sys.stderr)
     return 0
 
 
@@ -388,8 +403,7 @@ def _cmd_evolve(args, command: str) -> int:
     result = solve_spectrum(params, basis)
     initial = _initial_state(args.initial, result)
     table = propagate_observables(initial, result, np.arange(steps + 1) * args.dt)
-    rows = table.tolist()
-    _write_csv(args.out, ("t", "norm", "energy", "sigma_z", "sigma_x", "n"), rows)
+    _write_csv(args.out, ("t", "norm", "energy", "sigma_z", "sigma_x", "n"), table)
     _write_manifest(args.out, params, basis, command,
                     {**_solve_summary(result), "initial": args.initial,
                      "t_max": args.t_max, "dt": args.dt},

@@ -195,6 +195,16 @@ def _solve_at(params: ModelParams, n: int, k: int, prev: Optional[_Step]) -> _St
     return _Step(n, dec, energies, c, d, tails, parities, drifts)
 
 
+def _reach(params: ModelParams, k: int) -> float:
+    """(η + √k)²: D(2g) carries the lowest k levels out to about that many quanta.
+
+    A smaller truncation cannot hold them. The square is a product so that a
+    huge η gives inf rather than an OverflowError from ``**``.
+    """
+    reach = params.eta + math.sqrt(k)
+    return reach * reach
+
+
 def _walk(params: ModelParams, n_list: Sequence[int], k: int) -> Iterator[_Step]:
     """Solve at each truncation in turn, each drift taken against the one before."""
     step = None
@@ -216,12 +226,9 @@ def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> Sp
     params = validate(params)
     basis = basis if basis is not None else BasisSpec()
     trace: List[Tuple[int, np.ndarray]] = []
-    # D(2g) carries the lowest k levels out to about (η + √k)² quanta; a
-    # smaller truncation cannot hold them. The square is a product so that a
-    # huge η gives inf here rather than an OverflowError from ``**``.
-    reach = params.eta + math.sqrt(basis.levels_requested)
+    reach = _reach(params, basis.levels_requested)
     n_list = [n for n in (*range(basis.n_start, basis.n_max_hard, basis.n_step), basis.n_max_hard)
-              if n >= reach * reach] or [basis.n_max_hard]
+              if n >= reach] or [basis.n_max_hard]
     for step in _walk(params, n_list, basis.levels_requested):
         trace.append((step.n, step.energies))
         converged = (step.tail_weights <= basis.tail_tol) & (step.drifts <= basis.drift_tol)

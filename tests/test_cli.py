@@ -299,6 +299,22 @@ class TestConverge:
                     "--n-list", "20,abc", "--out", out])
         assert code == 2
 
+    @pytest.mark.parametrize("eta, below", [("20", [40, 60]), ("0.5", [])])
+    def test_below_reach(self, tmp_path, capsys, eta, below):
+        # (η + √levels)² = 458.6 at η = 20: tails and drifts read 0 on both rows.
+        out = str(tmp_path / "cv.csv")
+        code = run(["converge", "--omega", "1", "--eta", eta, "--delta", "0.3",
+                    "--n-list", "40,60", "--levels", "2", "--out", out])
+        assert code == 0
+        with open(out + ".manifest.json", encoding="utf-8") as fh:
+            assert json.load(fh)["below_reach"] == below
+        err = capsys.readouterr().err
+        if below:
+            assert err.count("\n") == 1 and err.startswith("warning: ")
+            assert "40, 60" in err
+        else:
+            assert err == ""
+
 
 class TestCat:
     def test_payload(self, tmp_path):
@@ -313,6 +329,33 @@ class TestCat:
         total = (np.sum(np.square(doc["ideal_cat"]["e"]))
                  + np.sum(np.square(doc["ideal_cat"]["g"])))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestWriteCsv:
+    """A float array is written by one %-format over the whole table, byte
+    for byte as the per-value ``_fmt`` path writes the same rows."""
+
+    HEADER = ("t", "norm", "energy", "sigma_z", "sigma_x", "n")
+
+    def _both(self, tmp_path, table):
+        fast, slow = str(tmp_path / "array.csv"), str(tmp_path / "rows.csv")
+        cli._write_csv(fast, self.HEADER, table)
+        cli._write_csv(slow, self.HEADER, table.tolist())
+        assert read_bytes(fast) == read_bytes(slow)
+        cli._write_csv(slow, self.HEADER, list(table))  # np.float64 values
+        assert read_bytes(fast) == read_bytes(slow)
+        return read_bytes(fast)
+
+    def test_special_values(self, tmp_path):
+        special = [-0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 2.0 ** 53 + 1, 0.1, -1.0 / 3.0]
+        values = np.concatenate([special, np.random.default_rng(0).normal(size=6 * 20 - 9)])
+        data = self._both(tmp_path, values.reshape(-1, 6))
+        assert data.splitlines()[2] == (b"-0,4.9406564584124654e-324,"
+                                        b"1.0000000000000001e+300,nan,inf,-inf")
+
+    def test_header_only(self, tmp_path):
+        header_only = b"# schema=1\nt,norm,energy,sigma_z,sigma_x,n\n"
+        assert self._both(tmp_path, np.empty((0, 6))) == header_only
 
 
 class TestEvolve:

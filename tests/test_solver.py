@@ -303,10 +303,14 @@ class TestWalkStart:
         assert result.trace[0][0] == min(n for n in grid if n >= max(basis.n_start, reach))
 
 
-@pytest.fixture(scope="module", params=[12.0, 14.0])
+# Hard cap the solver needs at each strong coupling: η = 20 walks 540, 560, 580.
+_STRONG_CAPS = {12.0: 400, 14.0: 400, 20.0: 800}
+
+
+@pytest.fixture(scope="module", params=sorted(_STRONG_CAPS))
 def strong_point(request):
     """(η, lowest ten bare-basis energies at n = 400) at Ω = 1, δ = 0.3; the
-    bare basis is converged to ~1e-13 there and is diagonalized once."""
+    bare basis is converged to ~1e-12 there and is diagonalized once."""
     eta = request.param
     h = build_bare_rabi_hamiltonian(params_of(1.0, eta, 0.3), 400)
     return eta, np.linalg.eigvalsh(h)[:10]
@@ -318,7 +322,7 @@ class TestLargeCoupling:
 
     def test_matches_bare_oracle(self, solve, strong_point):
         eta, oracle = strong_point
-        result = solve(1.0, eta, 0.3)
+        result = solve(1.0, eta, 0.3, n_max_hard=_STRONG_CAPS[eta])
         assert result.all_converged
         assert np.max(np.abs(result.energies - oracle)) < 1e-10
 
@@ -336,11 +340,12 @@ class TestBraakOracle:
 
     @settings(max_examples=20)
     @given(omega=st.floats(min_value=0.3, max_value=2.0),
-           eta=st.floats(min_value=0.0, max_value=6.0))
+           eta=st.floats(min_value=0.0, max_value=8.0))
     @example(omega=1.0, eta=0.2)
     @example(omega=1.0, eta=1.0)
     @example(omega=2.0, eta=3.0)
     @example(omega=0.5, eta=6.0)
+    @example(omega=2.0, eta=8.0)
     def test_levels_are_zeros_of_g(self, omega, eta):
         # The decoupled limit is exceptional: at Ω = 1 levels of one parity
         # pair up into double zeros of G, and at Ω = 2 they sit on its poles.

@@ -298,12 +298,19 @@ class TestPropagateBlocks:
     @pytest.mark.parametrize("point, initial", [
         ((1.0, 0.2, 0.0), "cat"),
         ((1.0, 0.4, 0.3), "fock"),
+        ((1.0, 0.4, 0.3), "complex"),
     ])
     def test_matches_per_time_reference(self, solve, count, point, initial):
         result = solve(*point)
         n = result.n_final
-        state = (ideal_cat_state(result.params.g, n) if initial == "cat"
-                 else basis_state(0, "g", n))
+        if initial == "cat":
+            state = ideal_cat_state(result.params.g, n)
+        elif initial == "fock":
+            state = basis_state(0, "g", n)
+        else:
+            # (|0,g> + i|1,e>)/√2: weights with imaginary parts.
+            state = QuantumState(basis_state(0, "g", n).amps + 1j * basis_state(1, "e", n).amps,
+                                 Frame.WORKING)
         # Unsorted, and negative as well as positive times.
         times = np.random.default_rng(count).permutation(np.linspace(-30.0, 50.0, count))
         table = propagate_observables(state, result, times)

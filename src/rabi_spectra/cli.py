@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +51,9 @@ from .states import (
 SCHEMA_VERSION = 1
 # Most rows a flag may request in one data file, checked before any solve.
 MAX_ROWS = 10_000_000
+# Rows of a float table formatted and written per step, so a table of
+# MAX_ROWS rows is never held as one string.
+_CSV_BLOCK = 4096
 
 _PRESETS = {
     # Coupling sweep at resonance; the two parity chains split as eta grows.
@@ -77,12 +81,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write via a temp file and ``os.replace``, so a crash leaves no partial file."""
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks in turn to a temp file, then ``os.replace`` it onto
+    ``path``, so a crash or an error in a chunk leaves no partial file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         raise InvalidParam("out", f"cannot write '{path}': {exc.strerror or exc}") from exc
@@ -91,22 +96,29 @@ def _write_text(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def _write_csv(path: str, header: Sequence[str],
-               rows: Union[np.ndarray, Iterable[Sequence]]) -> None:
-    """Rows of ``_fmt`` values, or a 2-D float array, which one %.17g format
-    string renders whole, with no Python call per row or value."""
-    text = f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n"
+def _csv_rows(rows: Union[np.ndarray, Iterable[Sequence]]) -> Iterator[str]:
+    """Rows of ``_fmt`` values one line at a time, or a 2-D float array
+    ``_CSV_BLOCK`` rows at a time, each block rendered by one %.17g format
+    string with no Python call per row or value."""
     if isinstance(rows, np.ndarray):
         row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        text += row_fmt * rows.shape[0] % tuple(rows.ravel().tolist())
+        for start in range(0, rows.shape[0], _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK]
+            yield row_fmt * block.shape[0] % tuple(block.ravel().tolist())
     else:
-        text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
-    _write_text(path, text)
+        for row in rows:
+            yield ",".join(_fmt(v) for v in row) + "\n"
+
+
+def _write_csv(path: str, header: Sequence[str],
+               rows: Union[np.ndarray, Iterable[Sequence]]) -> None:
+    _write_text(path, itertools.chain([f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n"],
+                                      _csv_rows(rows)))
 
 
 def _write_json(path: str, doc: dict) -> None:
     doc = {"schema": SCHEMA_VERSION, **doc}
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
 def _sha256(path: str) -> str:
@@ -132,7 +144,8 @@ def _write_manifest(out_path: str, params: Optional[ModelParams], basis: Optiona
     if basis is not None:
         manifest["basis"] = asdict(basis)
     manifest.update(extra)
-    _write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(out_path + ".manifest.json",
+                [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 def _add_point_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:

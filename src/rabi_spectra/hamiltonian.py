@@ -31,7 +31,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .model import ModelParams, validate
-from .overlap import displacement_matrix
+from .overlap import _table, displacement_matrix
 
 __all__ = [
     "build_displaced_hamiltonian",
@@ -75,7 +75,7 @@ def build_displaced_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("truncation must be >= 1")
     m = np.arange(n + 1)
-    off = -(params.omega / 2.0) * displacement_matrix(2.0 * params.g, n).real
+    off = -(params.omega / 2.0) * _table(2.0 * params.g, n)
     return _two_blocks(np.diag(m + params.epsilon), np.diag(m - params.epsilon), off)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, FrameMismatch, IncompleteBasis, NormLoss
 from .hamiltonian import build_bare_rabi_hamiltonian, build_U_matrix, build_V_matrix
-from .overlap import displacement_matrix
+from .overlap import _table
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SpectralResult
@@ -121,7 +121,7 @@ def displaced_to_bare(g: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
     bare rows through ⟨k|D(-g)|m⟩ and the -g-displaced block through
     ⟨k|D(+g)|m⟩. For real g, D(-g) = D(g)ᵀ exactly, so one table is built.
     """
-    to_bare_d = np.ascontiguousarray(displacement_matrix(g, n).real)
+    to_bare_d = np.ascontiguousarray(_table(g, n))
     return to_bare_d.T, to_bare_d
 
 

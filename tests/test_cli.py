@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_spectra import cli, solver
+from rabi_spectra import cli, overlap, solver
 from rabi_spectra.cli import main
 from rabi_spectra.solver import LevelPairing, classify_levels
 
@@ -245,6 +245,22 @@ class TestSweep:
         assert all(r[header.index("parity")] == "" for r in edges)
         assert all(r[header.index("parity")] != "" for r in middle)
 
+    def test_delta_sweep_builds_each_table_once(self, tmp_path, monkeypatch):
+        # Every point of a detuning sweep shares g, so D(2g) is built once
+        # per truncation size, not once per point and truncation.
+        built = []
+        magnitudes = overlap._magnitudes
+
+        def counted(r, n):
+            built.append(n)
+            return magnitudes(r, n)
+
+        monkeypatch.setattr(overlap, "_magnitudes", counted)
+        monkeypatch.setattr(overlap, "_slot", (None, None))
+        assert run(["sweep", "--param", "delta", "--from", "-2", "--to", "2", "--steps", "9",
+                    "--omega", "2", "--eta", "0.2", "--out", str(tmp_path / "sw.csv")]) == 0
+        assert len(set(built)) == len(built) <= 2
+
     def test_missing_fixed_param_rejected(self, tmp_path):
         out = str(tmp_path / "sw.csv")
         code = run(["sweep", "--param", "eta", "--from", "0", "--to", "0.1",
@@ -332,8 +348,8 @@ class TestCat:
 
 
 class TestWriteCsv:
-    """A float array is written by one %-format over the whole table, byte
-    for byte as the per-value ``_fmt`` path writes the same rows."""
+    """A float array is written by one %-format per block of rows, byte for
+    byte as the per-value ``_fmt`` path writes the same rows."""
 
     HEADER = ("t", "norm", "energy", "sigma_z", "sigma_x", "n")
 
@@ -356,6 +372,19 @@ class TestWriteCsv:
     def test_header_only(self, tmp_path):
         header_only = b"# schema=1\nt,norm,energy,sigma_z,sigma_x,n\n"
         assert self._both(tmp_path, np.empty((0, 6))) == header_only
+
+    def test_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+        data = self._both(tmp_path, np.random.default_rng(1).normal(size=(10, 6)))
+        assert len(data.splitlines()) == 12
+
+    def test_error_after_first_block_leaves_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+        table = np.zeros((10, 6), dtype=object)
+        table[4, 2] = "not a float"  # fails to format in the second block
+        with pytest.raises(TypeError):
+            cli._write_csv(str(tmp_path / "evolve.csv"), self.HEADER, table)
+        assert os.listdir(tmp_path) == []
 
 
 class TestEvolve:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from rabi_spectra import overlap
 from rabi_spectra import (
     displaced_overlap,
     displaced_overlap_series,
@@ -227,11 +228,30 @@ class TestDisplacementMatrix:
     @pytest.mark.parametrize("beta, n", [(1e5, 40), (40j, 400)])
     def test_overflow_raises_without_warning(self, beta, n):
         # Far outside the tested domain the kernel's entries turn to nan;
-        # the table must say so, and not through a numpy warning.
+        # the table must say so, and not through a numpy warning. A failed
+        # table is never kept, so every call raises.
+        kept = overlap._slot
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError):
-                displacement_matrix(beta, n)
+            for _ in range(2):
+                with pytest.raises(OverflowError):
+                    displacement_matrix(beta, n)
+        assert overlap._slot is kept
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, -0.3, 0.2j])
+    @pytest.mark.parametrize("n", [-1, 2.0, True, np.float64(3.0)])
+    def test_bad_truncation_rejected(self, beta, n):
+        displacement_matrix(beta, 10)  # a kept table must not serve a bad n
+        with pytest.raises(ValueError, match="truncation"):
+            displacement_matrix(beta, n)
+
+    def test_copy_is_fresh_and_writable(self):
+        table = displacement_matrix(0.4, 10)
+        assert table.dtype == complex and table.flags.writeable
+        expected = table.copy()
+        table[:] = 7.0
+        assert np.array_equal(displacement_matrix(0.4, 10), expected)
+        assert np.array_equal(displacement_matrix(0.4, 5), expected[:6, :6])
 
 
 class TestOverlapMatrix:
@@ -343,7 +363,8 @@ class TestDisplacementProperties:
     @settings(max_examples=40)
     @given(beta=_real_beta, n=_truncation)
     def test_real_coupling_is_real(self, beta, n):
-        assert np.all(displacement_matrix(beta, n).imag == 0.0)
+        imag = displacement_matrix(beta, n).imag
+        assert np.all(imag == 0.0) and not np.any(np.signbit(imag))
 
     @settings(max_examples=15)
     @given(beta=_beta, n=_truncation)
@@ -353,3 +374,39 @@ class TestDisplacementProperties:
         oracle = expm_displacement(beta)
         mat = displacement_matrix(beta, n)
         assert np.max(np.abs(mat - oracle[:n + 1, :n + 1])) < 1e-10
+
+
+def _fresh(beta, n):
+    """The table built from scratch, bypassing the kept one."""
+    return overlap._displacement(complex(beta), n) if beta != 0 else np.eye(n + 1)
+
+
+class TestTableSlot:
+    """One kept table per β serves every smaller truncation, bit for bit."""
+
+    @pytest.mark.parametrize("beta", [0.4, -0.4, 0.3j, 0.0])
+    def test_read_only(self, beta):
+        for n in (12, 6, 12):
+            table = overlap._table(beta, n)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 2.0
+
+    @pytest.mark.parametrize("g", [0.37, -1.1])
+    def test_alternating_couplings(self, g):
+        requests = [(g, 30), (2 * g, 20), (-g, 30), (g, 10), (2 * g, 40), (2 * g, 5),
+                    (-g, 8), (g, 30), (1j * g, 25), (g, 12)]
+        for beta, n in requests:
+            table = overlap._table(beta, n)
+            assert table.dtype == (complex if isinstance(beta, complex) else float)
+            assert table.tobytes() == _fresh(beta, n).tobytes()
+
+    @settings(max_examples=40)
+    @given(beta=_beta, n=_truncation, large_first=st.booleans())
+    def test_order_independent(self, beta, n, large_first):
+        overlap._slot = (None, None)
+        order = (n + 20, n) if large_first else (n, n + 20)
+        tables = {size: overlap._table(beta, size).tobytes() for size in order}
+        assert tables[n] == _fresh(beta, n).tobytes()
+        assert tables[n + 20] == _fresh(beta, n + 20).tobytes()
+

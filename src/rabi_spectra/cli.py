@@ -4,7 +4,9 @@ Output files are deterministic: floats are rendered with 17 significant
 digits, rows are emitted in a fixed order, and timestamps live only in the
 manifest sidecar, never in the data payload. Every data file gets a
 ``<out>.manifest.json`` companion recording the exact parameters,
-convergence status and payload digests.
+convergence status and payload digest. Each ``_cmd_*`` handler writes its
+data file and returns its exit code and its own manifest fields; ``main`` is
+the one place that writes the manifest, so a handler that raises leaves none.
 
 Exit codes: 0 success, 2 invalid flags or parameters, 3 convergence
 failure (partial results are still written, flagged; evolve writes no data
@@ -129,23 +131,17 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path: str, params: Optional[ModelParams], basis: Optional[BasisSpec],
-                    command: str, extra: dict, outputs: List[str]) -> None:
-    manifest = {
+def _write_manifest(out_path: str, command: str, entries: dict) -> None:
+    """Write ``<out_path>.manifest.json``: provenance, the digest of the data
+    file as it lies on disk, and the command's own ``entries``."""
+    _write_json(out_path + ".manifest.json", {
         "tool": "rabi-spectra",
         "version": __version__,
-        "schema": SCHEMA_VERSION,
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
-    }
-    if params is not None:
-        manifest["params"] = asdict(params)
-    if basis is not None:
-        manifest["basis"] = asdict(basis)
-    manifest.update(extra)
-    _write_text(out_path + ".manifest.json",
-                [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+        "outputs": {os.path.basename(out_path): _sha256(out_path)},
+        **entries,
+    })
 
 
 def _add_point_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -202,12 +198,11 @@ def _level_records(result: SpectralResult) -> List[dict]:
     } for i in range(result.levels)]
 
 
-def _rwa_payload(result: SpectralResult, pairing: List[LevelPairing]) -> dict:
-    params = result.params
-    ground = -params.omega / 2.0 + params.g ** 2
+def _rwa_payload(pairing: List[LevelPairing]) -> dict:
+    # classify_levels pairs level 0 with the RWA ground, so its row holds both numbers.
     return {
-        "ground_energy": ground,
-        "ground_gap_vs_rwa": float(result.energies[0]) - ground,
+        "ground_energy": pairing[0].rwa_energy,
+        "ground_gap_vs_rwa": pairing[0].gap,
         "pairing": [asdict(p) for p in pairing],
     }
 
@@ -231,7 +226,9 @@ def _solve_or_partial(params: ModelParams, basis: BasisSpec) -> Tuple[SpectralRe
 
 
 def _solve_summary(result: SpectralResult) -> dict:
-    return {"n_final": result.n_final, "truncations": [n for n, _ in result.trace],
+    """Manifest entries of one solve: its inputs, truncations and convergence."""
+    return {"params": asdict(result.params), "basis": asdict(result.basis),
+            "n_final": result.n_final, "truncations": [n for n, _ in result.trace],
             "converged": [bool(v) for v in result.converged]}
 
 
@@ -240,7 +237,7 @@ def _check_rows(name: str, rows: int) -> None:
         raise InvalidParam(name, f"asks for more than {MAX_ROWS} rows in one data file")
 
 
-def _cmd_spectrum(args, command: str) -> int:
+def _cmd_spectrum(args) -> Tuple[int, dict]:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
     result, exit_code = _solve_or_partial(params, basis)
@@ -257,27 +254,25 @@ def _cmd_spectrum(args, command: str) -> int:
             "n_final": result.n_final,
             "all_converged": result.all_converged,
             "levels": records,
-            "rwa": _rwa_payload(result, pairing),
+            "rwa": _rwa_payload(pairing),
         })
     else:
         rows = [(*r.values(), *_rwa_columns(p)) for r, p in zip(records, pairing)]
         _write_csv(args.out, (*records[0], *_RWA_COLUMNS), rows)
-    _write_manifest(args.out, params, basis, command, _solve_summary(result), [args.out])
-    return exit_code
+    return exit_code, _solve_summary(result)
 
 
-def _cmd_compare_rwa(args, command: str) -> int:
+def _cmd_compare_rwa(args) -> Tuple[int, dict]:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
     result, exit_code = _solve_or_partial(params, basis)
     pairing = _pairing(result)
     if args.format == "json":
         _write_json(args.out, {"params": asdict(result.params),
-                               "rwa": _rwa_payload(result, pairing)})
+                               "rwa": _rwa_payload(pairing)})
     else:
         _write_csv(args.out, _PAIRING_HEADER, [astuple(p) for p in pairing])
-    _write_manifest(args.out, params, basis, command, _solve_summary(result), [args.out])
-    return exit_code
+    return exit_code, _solve_summary(result)
 
 
 _SWEEP_HEADER = ("param", "level", "energy", "parity", *_RWA_COLUMNS)
@@ -289,7 +284,7 @@ def _sweep_params(value: float, args) -> ModelParams:
     return validate(ModelParams(omega=fixed["omega"], eta=fixed["eta"], delta=fixed["delta"]))
 
 
-def _cmd_sweep(args, command: str) -> int:
+def _cmd_sweep(args) -> Tuple[int, dict]:
     if args.preset:
         preset = _PRESETS[args.preset]
         args.param = preset["param"]
@@ -322,20 +317,16 @@ def _cmd_sweep(args, command: str) -> int:
             parity = r["parity"] if r["converged"] else None
             rows.append((value, r["level"], r["energy"], parity, *_rwa_columns(p)))
     _write_csv(args.out, _SWEEP_HEADER, rows)
-    _write_manifest(args.out, None, basis, command,
-                    {"sweep": {"param": args.param, "from": args.start, "to": args.stop,
-                               "steps": args.steps,
-                               "fixed": {name: getattr(args, name) for name in
-                                         ("omega", "eta", "delta") if name != args.param}},
-                     "failed_points": failures},
-                    [args.out])
     if failures:
         print(f"warning: {len(failures)} sweep point(s) did not converge", file=sys.stderr)
-        return 3
-    return 0
+    fixed = {name: getattr(args, name) for name in ("omega", "eta", "delta") if name != args.param}
+    return (3 if failures else 0), {
+        "basis": asdict(basis), "failed_points": failures,
+        "sweep": {"param": args.param, "from": args.start, "to": args.stop, "steps": args.steps,
+                  "fixed": fixed}}
 
 
-def _cmd_converge(args, command: str) -> int:
+def _cmd_converge(args) -> Tuple[int, dict]:
     params = _params_from_args(args)
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
@@ -351,17 +342,15 @@ def _cmd_converge(args, command: str) -> int:
     _write_csv(args.out, tuple(rows[0]), [r.values() for r in rows])
     reach = _reach(params, args.levels)
     below = [n for n in n_list if n < reach]
-    _write_manifest(args.out, params, None, command,
-                    {"n_list": n_list, "levels": args.levels, "below_reach": below},
-                    [args.out])
     if below:
         print(f"warning: truncation(s) {', '.join(map(str, below))} lie below (eta + "
               f"sqrt(levels))^2 = {reach:.6g}, where tails and drifts cannot show "
               "the missing states", file=sys.stderr)
-    return 0
+    return 0, {"params": asdict(params), "n_list": n_list, "levels": args.levels,
+               "below_reach": below}
 
 
-def _cmd_cat(args, command: str) -> int:
+def _cmd_cat(args) -> Tuple[int, dict]:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
     result, exit_code = _solve_or_partial(params, basis)
@@ -384,8 +373,7 @@ def _cmd_cat(args, command: str) -> int:
         },
     }
     _write_json(args.out, payload)
-    _write_manifest(args.out, params, basis, command, _solve_summary(result), [args.out])
-    return exit_code
+    return exit_code, _solve_summary(result)
 
 
 def _initial_state(spec: str, result: SpectralResult):
@@ -404,7 +392,7 @@ def _initial_state(spec: str, result: SpectralResult):
     raise InvalidParam("initial", f"unknown initial state '{spec}'")
 
 
-def _cmd_evolve(args, command: str) -> int:
+def _cmd_evolve(args) -> Tuple[int, dict]:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
     if args.t_max <= 0 or args.dt <= 0:
@@ -417,11 +405,8 @@ def _cmd_evolve(args, command: str) -> int:
     initial = _initial_state(args.initial, result)
     table = propagate_observables(initial, result, np.arange(steps + 1) * args.dt)
     _write_csv(args.out, ("t", "norm", "energy", "sigma_z", "sigma_x", "n"), table)
-    _write_manifest(args.out, params, basis, command,
-                    {**_solve_summary(result), "initial": args.initial,
-                     "t_max": args.t_max, "dt": args.dt},
-                    [args.out])
-    return 0
+    return 0, {**_solve_summary(result), "initial": args.initial, "t_max": args.t_max,
+               "dt": args.dt}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -487,7 +472,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     command = " ".join(argv if argv is not None else sys.argv[1:])
     try:
-        return args.func(args, command)
+        exit_code, entries = args.func(args)
+        _write_manifest(args.out, command, entries)
+        return exit_code
     except IncompleteBasis as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -130,16 +130,11 @@ def build_U_matrix(eta: float, n: int) -> np.ndarray:
     unitarity only near the top of the ladder; interior columns are
     unitary to the accuracy of the wave-factor tails.
     """
-    dim = n + 1
-    phase = np.diag(1.0j ** np.arange(dim))
+    phase = (1.0j ** np.arange(n + 1))[:, None]
     f = displacement_matrix(0.5j * eta, n)
-    f_dag = f.conj().T
-    u = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    u[:dim, :dim] = phase @ f_dag
-    u[:dim, dim:] = phase @ f
-    u[dim:, :dim] = -phase @ f_dag
-    u[dim:, dim:] = phase @ f
-    return u / math.sqrt(2.0)
+    phase_f_dag, phase_f = phase * f.conj().T, phase * f
+    # + 0.0 turns each -0.0 of the products into the +0.0 a product with diag(i^k) gives.
+    return (np.block([[phase_f_dag, phase_f], [-phase_f_dag, phase_f]]) + 0.0) / math.sqrt(2.0)
 
 
 def build_V_matrix() -> np.ndarray:

@@ -244,9 +244,12 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
     propagated vectors, so the columns certify propagator unitarity instead
     of restating it. Times are propagated ``_TIME_BLOCK`` at a time, as
     matrix products in real arithmetic on [Re ψ | Im ψ]: the eigenbasis and H are real.
+    Raises :class:`DomainError` if any time is not finite, as :func:`evolve` does.
     """
-    energies, columns, weights = _project(initial, result)
     times = np.fromiter(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise DomainError("time must be finite")
+    energies, columns, weights = _project(initial, result)
     h = build_bare_rabi_hamiltonian(result.params, result.n_final)
     dim = result.n_final + 1
     # Row weights that turn |ψ|² into norm², ⟨σ_z⟩ and ⟨n⟩.

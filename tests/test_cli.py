@@ -1,5 +1,6 @@
 """End-to-end CLI tests: flags, exit codes, file formats, determinism."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -31,6 +32,11 @@ def read_csv(path):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+POINT = ["--omega", "1", "--eta", "0.2", "--delta", "0"]
+# A hard cap of n = 4 cannot hold two levels at eta = 0.8: every solve fails.
+TINY_BASIS = ["--levels", "2", "--n-start", "2", "--n-step", "1", "--n-max-hard", "4"]
 
 
 class TestSpectrum:
@@ -85,7 +91,6 @@ class TestSpectrum:
         assert manifest["basis"]["n_start"] == 40
         assert all(manifest["converged"])
         assert "created_utc" in manifest
-        import hashlib
         digest = hashlib.sha256(read_bytes(out)).hexdigest()
         assert manifest["outputs"]["spec.csv"] == digest
 
@@ -147,6 +152,16 @@ class TestCompareRwa:
                     "--format", fmt, "--out", str(tmp_path / f"rwa.{fmt}")])
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "compare-rwa"])
+    def test_rwa_ground_is_the_pairing_row(self, tmp_path, command):
+        # g = 1.3795, where g ** 2 and g * g differ in the last bit.
+        out = str(tmp_path / "doc.json")
+        assert run([command, "--omega", "1", "--eta", "2.759", "--delta", "0",
+                    "--format", "json", "--out", out]) == 0
+        rwa = json.loads(read_bytes(out))["rwa"]
+        assert rwa["ground_energy"] == rwa["pairing"][0]["rwa_energy"]
+        assert rwa["ground_gap_vs_rwa"] == rwa["pairing"][0]["gap"]
 
 
 def cell(text):
@@ -419,6 +434,13 @@ class TestEvolve:
                     "--t-max", "1", "--dt", "0.5", "--initial", "fock:60,e",
                     "--out", out])
         assert code == 4
+        assert os.listdir(tmp_path) == []
+
+    def test_unconverged_writes_nothing(self, tmp_path):
+        out = str(tmp_path / "ev.csv")
+        assert run(["evolve", "--omega", "1", "--eta", "0.8", "--delta", "0", *TINY_BASIS,
+                    "--t-max", "1", "--dt", "0.1", "--out", out]) == 3
+        assert os.listdir(tmp_path) == []
 
     def test_bad_initial_spec(self, tmp_path):
         out = str(tmp_path / "ev.csv")
@@ -461,6 +483,49 @@ class TestEvolve:
         header, rows = read_csv(out)
         assert header == ["t", "norm", "energy", "sigma_z", "sigma_x", "n"]
         assert rows == []
+
+
+class TestManifest:
+    """Every data file written gets a sidecar holding its SHA-256 digest."""
+
+    def manifest_of(self, tmp_path, out):
+        manifest = json.loads(read_bytes(out + ".manifest.json"))
+        assert manifest["schema"] == 1
+        name = os.path.basename(out)
+        assert manifest["outputs"] == {name: hashlib.sha256(read_bytes(out)).hexdigest()}
+        assert sorted(os.listdir(tmp_path)) == [name, name + ".manifest.json"]
+        return manifest
+
+    @pytest.mark.parametrize("argv, name", [
+        (["spectrum", *POINT], "spec.csv"),
+        (["spectrum", *POINT, "--format", "json"], "spec.json"),
+        (["compare-rwa", *POINT], "rwa.csv"),
+        (["compare-rwa", *POINT, "--format", "json"], "rwa.json"),
+        (["sweep", "--param", "delta", "--from", "-1", "--to", "1", "--steps", "3",
+          "--omega", "2", "--eta", "0.2"], "sweep.csv"),
+        (["converge", *POINT, "--n-list", "20,40"], "cv.csv"),
+        (["cat", *POINT], "cat.json"),
+        (["evolve", *POINT, "--t-max", "1", "--dt", "0.1"], "ev.csv"),
+    ], ids=["spectrum-csv", "spectrum-json", "compare-rwa-csv", "compare-rwa-json", "sweep",
+            "converge", "cat", "evolve"])
+    def test_digest_of_data_file(self, tmp_path, argv, name):
+        argv = [*argv, "--out", str(tmp_path / name)]
+        assert run(argv) == 0
+        manifest = self.manifest_of(tmp_path, argv[-1])
+        assert manifest["command"] == " ".join(argv)
+
+    def test_partial_spectrum_keeps_both_files(self, tmp_path):
+        out = str(tmp_path / "partial.csv")
+        assert run(["spectrum", "--omega", "1", "--eta", "0.8", "--delta", "0", *TINY_BASIS,
+                    "--out", out]) == 3
+        assert not any(self.manifest_of(tmp_path, out)["converged"])
+
+    def test_failed_sweep_points_keep_both_files(self, tmp_path):
+        out = str(tmp_path / "sweep.csv")
+        assert run(["sweep", "--param", "eta", "--from", "0.5", "--to", "0.8", "--steps", "3",
+                    "--omega", "1", "--delta", "0", *TINY_BASIS, "--out", out]) == 3
+        failed = self.manifest_of(tmp_path, out)["failed_points"]
+        assert [p["value"] for p in failed] == [0.5, 0.65, 0.8]
 
 
 class TestExitContract:

@@ -149,6 +149,17 @@ class TestFrameRotations:
         expected = np.kron(spin, phases)
         assert np.max(np.abs(u - expected)) < 1e-15
 
+    @pytest.mark.parametrize("eta", [0.0, 0.2, 1.0, 3.7])
+    @pytest.mark.parametrize("n", [0, 5, 40, 120])
+    def test_u_bitwise_matches_diagonal_products(self, eta, n):
+        # Reference: the explicit products with diag(i^k), signed zeros included.
+        phase = np.diag(1.0j ** np.arange(n + 1))
+        f = displacement_matrix(0.5j * eta, n)
+        f_dag = f.conj().T
+        ref = np.block([[phase @ f_dag, phase @ f], [-phase @ f_dag, phase @ f]]) / math.sqrt(2.0)
+        bits = build_U_matrix(eta, n).view(np.float64).view(np.uint64)
+        assert np.array_equal(bits, ref.view(np.float64).view(np.uint64))
+
     def test_interior_unitarity(self):
         n = 120
         u = build_U_matrix(0.2, n)

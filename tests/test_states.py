@@ -332,6 +332,15 @@ class TestPropagateBlocks:
         state = basis_state(0, "g", result.n_final)
         assert propagate_observables(state, result, times).shape == (0, 6)
 
+    @pytest.mark.parametrize("times", [[0.0, math.inf, 1.0], np.array([0.0, 1.0, math.nan]),
+                                       (t for t in (0.0, -math.inf))],
+                             ids=["list", "array", "generator"])
+    def test_non_finite_time_rejected(self, solve, times):
+        result = solve(1.0, 0.2, 0.0)
+        state = basis_state(0, "g", result.n_final)
+        with pytest.raises(DomainError, match="time must be finite"):
+            propagate_observables(state, result, times)
+
     @settings(max_examples=20)
     @given(omega=st.floats(min_value=0.5, max_value=2.0),
            eta=st.floats(min_value=0.0, max_value=1.0))

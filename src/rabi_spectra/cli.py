@@ -17,7 +17,9 @@ for ``--levels``; ``converge --levels`` below 1; a truncation above
 ``model.MAX_TRUNCATION`` (``--n-max-hard`` or a ``converge`` truncation); a
 ``--tail-tol`` or ``--drift-tol`` that is not finite and > 0; and a request
 for more than ``MAX_ROWS`` rows in one data file (``evolve`` time steps,
-``sweep`` steps x levels). All are checked before any solve.
+``sweep`` steps x levels). All are checked before any solve. Exit 2 also
+ends a solve whose eigendecomposition fails its residual certificate
+(``NoConvergence``); no file is written then either.
 """
 
 from __future__ import annotations
@@ -278,12 +280,6 @@ def _cmd_compare_rwa(args) -> Tuple[int, dict]:
 _SWEEP_HEADER = ("param", "level", "energy", "parity", *_RWA_COLUMNS)
 
 
-def _sweep_params(value: float, args) -> ModelParams:
-    fixed = {"omega": args.omega, "eta": args.eta, "delta": args.delta}
-    fixed[args.param] = value
-    return validate(ModelParams(omega=fixed["omega"], eta=fixed["eta"], delta=fixed["delta"]))
-
-
 def _cmd_sweep(args) -> Tuple[int, dict]:
     if args.preset:
         preset = _PRESETS[args.preset]
@@ -297,12 +293,14 @@ def _cmd_sweep(args) -> Tuple[int, dict]:
     if args.steps < 1:
         raise InvalidParam("steps", "must be >= 1")
     _check_rows("steps", args.steps * args.levels)
-    for name in ("omega", "eta", "delta"):
-        if name != args.param and getattr(args, name) is None:
+    fixed = {name: getattr(args, name) for name in ("omega", "eta", "delta") if name != args.param}
+    for name, value in fixed.items():
+        if value is None:
             raise InvalidParam(name, "fixed parameter required for sweep")
     basis = _basis_from_args(args)
     # Validate the whole grid up front so bad flags fail before any work.
-    grid = [_sweep_params(float(v), args) for v in np.linspace(args.start, args.stop, args.steps)]
+    grid = [validate(ModelParams(**fixed, **{args.param: float(v)}))
+            for v in np.linspace(args.start, args.stop, args.steps)]
 
     with_rwa = args.param == "eta" and args.omega == 1.0
     rows = []
@@ -319,7 +317,6 @@ def _cmd_sweep(args) -> Tuple[int, dict]:
     _write_csv(args.out, _SWEEP_HEADER, rows)
     if failures:
         print(f"warning: {len(failures)} sweep point(s) did not converge", file=sys.stderr)
-    fixed = {name: getattr(args, name) for name in ("omega", "eta", "delta") if name != args.param}
     return (3 if failures else 0), {
         "basis": asdict(basis), "failed_points": failures,
         "sweep": {"param": args.param, "from": args.start, "to": args.stop, "steps": args.steps,

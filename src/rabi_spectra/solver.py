@@ -1,11 +1,14 @@
 """Certified eigendecomposition, adaptive truncation, parity and level pairing.
 
 At zero detuning the displaced-basis problem splits exactly into two
-parity sectors, c = p·(-1)^m·d with p = ±1. Each is solved on its own and
-the two are merged by energy (exact ties: parity +1 first), so parity is
-an exact label, not a measured value. Each eigenvector's first
-largest-magnitude entry is made positive; as |c_m| = |d_m| exactly, that
-entry lies in c and its sign comes from the sector solve, not from noise.
+parity sectors, d = p·(-1)^m·c with p = ±1. Each sector is solved for c
+on its own and the two are merged by energy (exact ties: parity +1
+first), so parity is an exact label, not a measured value.
+
+Sign rule: ``_certified_eigh`` makes each eigenvector's first
+largest-magnitude entry positive, and it is the only place that chooses a
+sign. A sector's eigenvectors are √2·c, and |c_m| = |d_m| exactly, so the
+same entry is the first largest of the merged column (c; d).
 
 Truncation control follows a belt-and-braces rule: a level counts as
 converged only when both its coefficient tail weight (probability in the
@@ -119,7 +122,7 @@ class SpectralResult:
     ``trace`` records (truncation, lowest-k energies) for every truncation
     visited, which is the raw material for monotonicity checks.
     ``parities`` holds the exact ±1.0 sector label of each level at zero
-    detuning, where ``coeff_c[i] == parities[i] * (-1)^m * coeff_d[i]``
+    detuning, where ``coeff_d[i] == parities[i] * (-1)^m * coeff_c[i]``
     holds bitwise, and is None otherwise.
     ``decomposition`` keeps the full spectrum at ``n_final`` for the
     spectral propagator.
@@ -171,19 +174,17 @@ def _solve_at(params: ModelParams, n: int, k: int, prev: Optional[_Step]) -> _St
     if params.delta != 0.0:
         dec, parities = eigh_symmetric(h), None
     else:
-        # Parity sectors: (c, d) = (p·s·u, u)/√2 with s = (-1)^m turns h into
-        # one (n+1)-dimensional problem per parity p.
+        # Parity sectors: (c, d) = (v, p·s·v)/√2 with s = (-1)^m turns h into
+        # one (n+1)-dimensional problem for c per parity p; exact ties put
+        # parity +1 first.
         s = (-1.0) ** np.arange(dim)
-        sectors = [eigh_symmetric(h[:dim, :dim] + p * s[:, None] * h[:dim, dim:])
-                   for p in (1.0, -1.0)]
+        sectors = [eigh_symmetric(h[:dim, :dim] + p * h[:dim, dim:] * s) for p in (1.0, -1.0)]
         labels = np.repeat([1.0, -1.0], dim)
         values = np.concatenate([sec.eigenvalues for sec in sectors])
-        u = np.hstack([sec.eigenvectors for sec in sectors])
-        # Exact ties put parity +1 first; |c_m| = |d_m| puts every pivot in c.
+        v = np.hstack([sec.eigenvectors for sec in sectors])
         order = np.lexsort((-labels, values))
-        vectors = (np.vstack([labels * s[:, None] * u, u]) / np.sqrt(2.0))[:, order]
-        pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(2 * dim)]
-        dec = EigenDecomposition(values[order], vectors * np.sign(pivots),
+        dec = EigenDecomposition(values[order],
+                                 (np.vstack([v, labels * s[:, None] * v]) / np.sqrt(2.0))[:, order],
                                  max(sec.residual_norm for sec in sectors))
         parities = labels[order][:k]
     c = dec.eigenvectors[:dim, :k].T.copy()
@@ -282,8 +283,7 @@ def parity_expectation(c: np.ndarray, d: np.ndarray, params: ModelParams) -> flo
     """
     if params.delta != 0.0:
         raise DomainError("parity is conserved only at zero detuning")
-    state = _states.eigvec_to_bare(np.asarray(c, dtype=float), np.asarray(d, dtype=float), params.g)
-    return _states.parity_overlap(state)
+    return _states.parity_overlap(_states.eigvec_to_bare(c, d, params.g))
 
 
 @dataclass(frozen=True)

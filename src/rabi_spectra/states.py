@@ -114,37 +114,40 @@ def basis_state(k: int, spin: str, n: int, frame: Frame = Frame.WORKING) -> Quan
     return QuantumState(amps, frame)
 
 
-def displaced_to_bare(g: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Basis changes from the two displaced blocks to the bare number basis.
+def _to_bare(g: float, vectors: np.ndarray) -> np.ndarray:
+    """Flat displaced vectors [c; d] (1-D, or one per column) as flat bare vectors.
 
-    Returns (D(-g), D(+g)) truncated to n: the +g-displaced block maps to
-    bare rows through ⟨k|D(-g)|m⟩ and the -g-displaced block through
-    ⟨k|D(+g)|m⟩. For real g, D(-g) = D(g)ᵀ exactly, so one table is built.
+    c lives over number states displaced by +g, so bare row ⟨k| picks up
+    ⟨k|D(-g)|m⟩, and D(-g) = D(g)ᵀ for real g; d lives over states
+    displaced by -g and picks up ⟨k|D(g)|m⟩. One table serves both. The
+    result keeps the memory order of ``vectors``: products over these
+    columns (the propagator's) round their last bit according to it.
     """
-    to_bare_d = np.ascontiguousarray(_table(g, n))
-    return to_bare_d.T, to_bare_d
+    dim = vectors.shape[0] // 2
+    table = _table(g, dim - 1)
+    bare = np.empty_like(vectors)
+    bare[:dim] = table.T @ vectors[:dim]
+    bare[dim:] = table @ vectors[dim:]
+    return bare
 
 
 def eigvec_to_bare(c: np.ndarray, d: np.ndarray, g: float) -> QuantumState:
     """Convert a displaced-basis coefficient pair to bare amplitudes.
 
-    The upper-spin coefficients live over number states displaced by +g
-    (bare row ⟨k| picks up ⟨k|D(-g)|m⟩) and the lower-spin ones over states
-    displaced by -g (⟨k|D(+g)|m⟩). Raises :class:`NormLoss` when the bare
-    truncation cannot hold the state, which signals an unconverged input.
+    The upper-spin coefficients c map through D(-g) and the lower-spin
+    ones d through D(+g) (see ``_to_bare``). Raises :class:`NormLoss` when
+    the bare truncation keeps less than 1 - 1e-6 of the probability, which
+    signals an unconverged input.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
     if c.shape != d.shape or c.ndim != 1:
         raise ValueError("coefficient blocks must be equal-length vectors")
-    to_bare_c, to_bare_d = displaced_to_bare(g, c.shape[0] - 1)
-    amps = np.zeros((c.shape[0], 2), dtype=complex)
-    amps[:, _E] = to_bare_c @ c
-    amps[:, _G] = to_bare_d @ d
-    norm = np.linalg.norm(amps)
-    if norm < _NORM_FLOOR:
-        raise NormLoss(f"basis change lost {1 - norm**2:.3e} probability; truncation too small")
-    return QuantumState(amps, Frame.WORKING)
+    bare = _to_bare(g, np.concatenate([c, d]))
+    kept = float(bare @ bare)
+    if kept < _NORM_FLOOR:
+        raise NormLoss(f"basis change lost {1 - kept:.3e} probability; truncation too small")
+    return _from_flat(bare, Frame.WORKING)
 
 
 def hadamard_on_spin(state: QuantumState) -> QuantumState:
@@ -164,13 +167,12 @@ def ideal_cat_state(g: float, n: int) -> QuantumState:
     |g⟩ branch holds only even Fock components and the |e⟩ branch only odd
     ones.
     """
-    to_bare_c, to_bare_d = displaced_to_bare(g, n)
-    plus, minus = to_bare_c[:, 0], to_bare_d[:, 0]
+    table = _table(g, n)
+    plus, minus = table[0], table[:, 0]
     amps = np.zeros((n + 1, 2), dtype=complex)
     amps[:, _G] = 0.5 * (plus + minus)
     amps[:, _E] = -0.5 * (plus - minus)
-    raw = float(np.linalg.norm(amps))
-    if raw < math.sqrt(_NORM_FLOOR):
+    if float(np.linalg.norm(amps)) ** 2 < _NORM_FLOOR:
         raise NormLoss(f"coherent tails exceed truncation n={n} for g={g}")
     return QuantumState(amps, Frame.WORKING)
 
@@ -188,17 +190,6 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     return float(abs(np.vdot(a.flat(), b.flat())) ** 2)
 
 
-def _bare_eigenbasis(result: "SpectralResult") -> Tuple[np.ndarray, np.ndarray]:
-    """All eigenvectors of the converged solve, as bare flat columns."""
-    dec = result.decomposition
-    dim = result.n_final + 1
-    to_bare_c, to_bare_d = displaced_to_bare(result.params.g, result.n_final)
-    columns = np.empty_like(dec.eigenvectors)
-    columns[:dim] = to_bare_c @ dec.eigenvectors[:dim]
-    columns[dim:] = to_bare_d @ dec.eigenvectors[dim:]
-    return dec.eigenvalues, columns
-
-
 def _project(initial: QuantumState, result: "SpectralResult") -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     if initial.frame is not Frame.WORKING:
         raise FrameMismatch("time evolution is defined in the working frame")
@@ -206,7 +197,8 @@ def _project(initial: QuantumState, result: "SpectralResult") -> Tuple[np.ndarra
         raise DomainError("spectral result is not converged")
     if initial.n != result.n_final:
         raise FrameMismatch(f"state truncation {initial.n} != solver truncation {result.n_final}")
-    energies, columns = _bare_eigenbasis(result)
+    energies = result.decomposition.eigenvalues
+    columns = _to_bare(result.params.g, result.decomposition.eigenvectors)
     weights = columns.conj().T @ initial.flat()
     deficit = 1.0 - float(np.sum(np.abs(weights) ** 2))
     if deficit > 1e-8:

@@ -1,5 +1,6 @@
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -21,3 +22,15 @@ def _cached_solve(omega, eta, delta, **basis_kwargs):
 def solve():
     """Memoized solver so repeated parameter points cost one diagonalization."""
     return _cached_solve
+
+
+@pytest.fixture
+def perturbed_eigh(monkeypatch):
+    """Make ``np.linalg.eigh`` return a basis 1e-6 off, so every residual certificate fails."""
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        values, vectors = real_eigh(a)
+        return values, vectors + 1e-6
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)

@@ -557,6 +557,10 @@ class TestExitContract:
         self.assert_rejected(["spectrum", "--omega", "1", "--eta", "0.2", "--delta", "0",
                               "--out", str(tmp_path / "missing" / "spec.csv")], tmp_path, capsys)
 
+    def test_failed_residual_certificate(self, tmp_path, capsys, perturbed_eigh):
+        self.assert_rejected(["spectrum", *POINT, "--out", str(tmp_path / "spec.csv")],
+                             tmp_path, capsys)
+
     def test_evolve_step_count_not_finite(self, tmp_path, capsys):
         self.assert_rejected(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
                               "--t-max", "1e300", "--dt", "1e-300",

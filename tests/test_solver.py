@@ -13,7 +13,9 @@ from rabi_spectra import (
     ConvergenceFailure,
     DomainError,
     ModelParams,
+    NoConvergence,
     build_bare_rabi_hamiltonian,
+    build_displaced_hamiltonian,
     classify_levels,
     eigh_hermitian,
     eigh_symmetric,
@@ -74,6 +76,14 @@ class TestEighSymmetric:
     def test_residual_certified(self):
         dec = eigh_symmetric(random_symmetric(60, seed=2))
         assert dec.residual_norm <= 1e-9 * (1 + np.max(np.abs(dec.eigenvalues)))
+
+    def test_failed_certificate_raises(self, perturbed_eigh):
+        with pytest.raises(NoConvergence, match="exceeds certified bound"):
+            eigh_symmetric(random_symmetric(20, seed=1))
+        # The walk lets it through: a failed residual is not a truncation failure.
+        with pytest.raises(NoConvergence) as info:
+            solve_spectrum(params_of(1.0, 0.2, 0.0))
+        assert not isinstance(info.value, ConvergenceFailure)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -240,6 +250,38 @@ class TestParitySectors:
             pivot = int(np.argmax(np.abs(col)))
             assert pivot < dim
             assert col[pivot] > 0
+
+
+def sector_reference(params, n):
+    """Reference sector solve: solve A_p = h_uu + p·s·h_ud for u, lift to
+    (c, d) = (p·s·u, u)/√2, then make each merged column's first largest entry positive."""
+    h = build_displaced_hamiltonian(params, n)
+    dim = n + 1
+    s = (-1.0) ** np.arange(dim)
+    sectors = [eigh_symmetric(h[:dim, :dim] + p * s[:, None] * h[:dim, dim:]) for p in (1.0, -1.0)]
+    labels = np.repeat([1.0, -1.0], dim)
+    values = np.concatenate([sec.eigenvalues for sec in sectors])
+    u = np.hstack([sec.eigenvectors for sec in sectors])
+    order = np.lexsort((-labels, values))
+    vectors = (np.vstack([labels * s[:, None] * u, u]) / np.sqrt(2.0))[:, order]
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(2 * dim)]
+    return (values[order], vectors * np.sign(pivots),
+            max(sec.residual_norm for sec in sectors), labels[order])
+
+
+@pytest.mark.parametrize("omega, eta, n", [(1.0, 0.2, 40), (2.0, 1.0, 60), (0.5, 3.0, 100),
+                                           (1.0, 5.0, 140), (3.0, 8.0, 220)])
+def test_sector_solve_matches_re_pivoted_reference(omega, eta, n):
+    """Solving each sector for c signs it by the one rule in ``_certified_eigh``."""
+    step = solver._solve_at(params_of(omega, eta, 0.0), n, 6, None)
+    values, vectors, residual, labels = sector_reference(params_of(omega, eta, 0.0), n)
+    dec = step.decomposition
+    assert dec.eigenvalues.tobytes() == values.tobytes()
+    # Equal as numbers; an exactly zero entry may carry either sign.
+    assert np.array_equal(dec.eigenvectors, vectors)
+    assert dec.residual_norm == residual
+    assert np.array_equal(step.parities, labels[:6])
+    assert dec.eigenvectors.flags.f_contiguous and vectors.flags.f_contiguous
 
 
 _omega = st.floats(min_value=0.5, max_value=2.0)

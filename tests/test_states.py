@@ -36,7 +36,7 @@ from rabi_spectra import (
     validate,
     working_to_intermediate,
 )
-from rabi_spectra.states import _TIME_BLOCK
+from rabi_spectra.states import _TIME_BLOCK, _project
 
 
 def params_of(omega, eta, delta):
@@ -108,6 +108,17 @@ class TestEigvecToBare:
         n, g = 5, 0.5
         c = np.zeros(n + 1)
         c[n] = 1.0  # top state spills past the truncation once displaced
+        with pytest.raises(NormLoss):
+            eigvec_to_bare(c, np.zeros(n + 1), g)
+
+    def test_norm_floor_is_on_probability(self):
+        # Row 0 of D(0.56) at n = 5 keeps probability 1 - 1.01e-6, just under
+        # the floor 1 - 1e-6; its norm alone would pass.
+        n, g = 5, 0.56
+        c = np.zeros(n + 1)
+        c[0] = 1.0
+        with pytest.raises(NormLoss):
+            ideal_cat_state(g, n)
         with pytest.raises(NormLoss):
             eigvec_to_bare(c, np.zeros(n + 1), g)
 
@@ -350,6 +361,17 @@ class TestPropagateBlocks:
         table = propagate_observables(state, result, np.linspace(0.0, 100.0, 2 * _TIME_BLOCK + 3))
         assert np.max(np.abs(table[:, 1] - 1.0)) <= 1e-10
         assert np.max(np.abs(table[:, 2] - table[0, 2])) <= 1e-10
+
+
+@pytest.mark.parametrize("point, order", [((1.0, 0.2, 0.0), "F"), ((2.0, 3.7, 0.0), "F"),
+                                          ((1.0, 0.3, 0.5), "C")])
+def test_bare_eigenbasis_keeps_memory_order(solve, point, order):
+    """The propagator's products round their last bit by the eigenbasis's memory order."""
+    result = solve(*point)
+    initial = eigvec_to_bare(result.coeff_c[0], result.coeff_d[0], result.params.g)
+    _, columns, _ = _project(initial, result)
+    assert result.decomposition.eigenvectors.flags[f"{order}_CONTIGUOUS"]
+    assert columns.flags[f"{order}_CONTIGUOUS"]
 
 
 class TestExpectations:

@@ -11,9 +11,9 @@ the one place that writes the manifest, so a handler that raises leaves none.
 Exit codes: 0 success, 2 invalid flags or parameters, 3 convergence
 failure (partial results are still written, flagged; evolve writes no data
 file or manifest), 4 initial state outside the converged span (evolve).
-Exit 2 includes an unwritable ``--out``; a ``converge`` truncation list that
-is empty, not strictly increasing, holds a truncation below 1 or is too small
-for ``--levels``; ``converge --levels`` below 1; a truncation above
+Exit 2 includes an unwritable ``--out``; ``converge`` errors naming ``n_list``
+(empty, not increasing, or a truncation below 1) or ``levels`` (below 1, or
+more than the smallest truncation holds); a truncation above
 ``model.MAX_TRUNCATION`` (``--n-max-hard`` or a ``converge`` truncation); a
 ``--tail-tol`` or ``--drift-tol`` that is not finite and > 0; and a request
 for more than ``MAX_ROWS`` rows in one data file (``evolve`` time steps,
@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceFailure, IncompleteBasis, InvalidParam, RabiSpectraError
 from .hamiltonian import rwa_spectrum
-from .model import BasisSpec, ModelParams, validate
+from .model import BasisSpec, ModelParams
 from .solver import (LevelPairing, SpectralResult, _reach, classify_levels, solve_spectrum,
                      truncation_table)
 from .states import (
@@ -170,7 +170,7 @@ def _basis_from_args(args) -> BasisSpec:
 
 
 def _params_from_args(args) -> ModelParams:
-    return validate(ModelParams(omega=args.omega, eta=args.eta, delta=args.delta))
+    return ModelParams(omega=args.omega, eta=args.eta, delta=args.delta)
 
 
 _PAIRING_HEADER = tuple(f.name for f in fields(LevelPairing))
@@ -248,8 +248,9 @@ def _cmd_spectrum(args) -> Tuple[int, dict]:
     if args.format == "json":
         for r in records:
             i = r.pop("level")
-            r.update(index=i, coefficients={"c": result.coeff_c[i].tolist(),
-                                            "d": result.coeff_d[i].tolist()})
+            # + 0.0 writes an exact zero as 0.0, whatever sign the solve left on it.
+            r.update(index=i, coefficients={"c": (result.coeff_c[i] + 0.0).tolist(),
+                                            "d": (result.coeff_d[i] + 0.0).tolist()})
         _write_json(args.out, {
             "params": asdict(result.params),
             "basis": asdict(result.basis),
@@ -298,8 +299,8 @@ def _cmd_sweep(args) -> Tuple[int, dict]:
         if value is None:
             raise InvalidParam(name, "fixed parameter required for sweep")
     basis = _basis_from_args(args)
-    # Validate the whole grid up front so bad flags fail before any work.
-    grid = [validate(ModelParams(**fixed, **{args.param: float(v)}))
+    # Build the whole grid up front so bad flags fail before any work.
+    grid = [ModelParams(**fixed, **{args.param: float(v)})
             for v in np.linspace(args.start, args.stop, args.steps)]
 
     with_rwa = args.param == "eta" and args.omega == 1.0
@@ -329,13 +330,8 @@ def _cmd_converge(args) -> Tuple[int, dict]:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise InvalidParam("n_list", str(exc)) from exc
-    if args.levels < 1:
-        raise InvalidParam("levels", "must be >= 1")
-    try:
-        # truncation_table rejects the list and the level count before any solve.
-        rows = truncation_table(params, n_list, args.levels)
-    except ValueError as exc:
-        raise InvalidParam("n_list", str(exc)) from exc
+    # truncation_table rejects the list and the level count before any solve.
+    rows = truncation_table(params, n_list, args.levels)
     _write_csv(args.out, tuple(rows[0]), [r.values() for r in rows])
     reach = _reach(params, args.levels)
     below = [n for n in n_list if n < reach]

@@ -5,8 +5,8 @@ class RabiSpectraError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidParam(RabiSpectraError):
-    """A physical or numerical parameter is out of range or non-finite."""
+class InvalidParam(RabiSpectraError, ValueError):
+    """A physical or numerical parameter is out of range or non-finite (a ``ValueError``)."""
 
     def __init__(self, field: str, message: str = ""):
         self.field = field

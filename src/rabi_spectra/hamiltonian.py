@@ -30,7 +30,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, validate
+from .model import ModelParams
 from .overlap import _table, displacement_matrix
 
 __all__ = [
@@ -71,7 +71,6 @@ def build_displaced_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     one displacement: entry (c_m, d_k) = -(Ω/2)⟨m|D(2g)|k⟩, real for real g.
     The (d, c) block is its transpose, so the result is exactly symmetric.
     """
-    params = validate(params)
     if n < 1:
         raise ValueError("truncation must be >= 1")
     m = np.arange(n + 1)
@@ -87,7 +86,6 @@ def build_bare_rabi_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     untruncated limit. Slowly convergent in n; serves as the brute-force
     oracle for the displaced route.
     """
-    params = validate(params)
     dim = n + 1
     k = np.arange(dim)
     g = params.g
@@ -99,7 +97,6 @@ def build_bare_rabi_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
 
 def build_intermediate_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     """Intermediate-frame Hamiltonian: Ω/2 σ_z + a†a + g(a† + a)σ_x + ε σ_x + g²."""
-    params = validate(params)
     dim = n + 1
     k = np.arange(dim)
     g = params.g
@@ -116,7 +113,6 @@ def build_lab_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     low-lying spectrum agrees with the working-frame builds up to the
     (slower) truncation error of the exponential coupling.
     """
-    params = validate(params)
     k = np.arange(n + 1)
     return _two_blocks(np.diag(params.delta / 2.0 + k), np.diag(-params.delta / 2.0 + k),
                        (params.omega / 2.0) * displacement_matrix(1j * params.eta, n))
@@ -150,7 +146,6 @@ def build_rwa_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     Block-diagonal over the doublets {|e,k⟩, |g,k+1⟩} plus the uncoupled
     |g,0⟩; real symmetric in the same block layout as the other builders.
     """
-    params = validate(params)
     dim = n + 1
     k = np.arange(dim)
     g = params.g
@@ -173,7 +168,6 @@ def rwa_spectrum(params: ModelParams, n_max: int) -> List[RwaLevel]:
     The off-resonant form is obtained by diagonalizing each 2x2 doublet
     block directly and matches ``build_rwa_hamiltonian`` to rounding.
     """
-    params = validate(params)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     g = params.g

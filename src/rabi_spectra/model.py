@@ -5,7 +5,8 @@ The two-laser drive enters through three numbers: the Rabi frequency ``omega``,
 the Lamb-Dicke parameter ``eta`` and the detuning ``delta``. The derived
 coupling ``g = eta / 2`` and bias ``epsilon = -delta / 2`` are what the
 Hamiltonian builders actually consume; ``delta`` is the only user-facing way
-to set the bias, which avoids sign-convention mistakes.
+to set the bias, which avoids sign-convention mistakes. Both records check
+their fields at construction and raise :class:`InvalidParam` naming a bad one.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Drive parameters of the trapped-ion two-level system.
+    """Drive parameters of the trapped-ion two-level system, checked at construction.
 
     Attributes
     ----------
     omega : float
-        Rabi frequency, > 0.
+        Rabi frequency, a finite real > 0.
     eta : float
-        Lamb-Dicke parameter, >= 0.
+        Lamb-Dicke parameter, a finite real >= 0.
     delta : float
         Detuning of the effective two-level transition; any finite real.
     g : float
@@ -58,27 +59,28 @@ class ModelParams:
     epsilon: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("omega", "eta", "delta"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise InvalidParam(name, "must be a real number")
+            if not math.isfinite(value):
+                raise InvalidParam(name, "must be finite")
+        if self.omega <= 0:
+            raise InvalidParam("omega", "must be > 0")
+        if self.eta < 0:
+            raise InvalidParam("eta", "must be >= 0")
         object.__setattr__(self, "g", self.eta / 2.0)
         object.__setattr__(self, "epsilon", -self.delta / 2.0)
 
 
 def validate(params: ModelParams) -> ModelParams:
-    """Check ranges and finiteness; return the validated record.
+    """Re-check a record, including its derived fields; return it unchanged.
 
-    Idempotent: validating an already-valid record returns it unchanged
-    (bit-identical fields). Raises :class:`InvalidParam` naming the
-    offending field otherwise.
+    Catches a record whose fields were overwritten after construction.
+    Idempotent: ``validate(p) is p``. Raises :class:`InvalidParam` naming
+    the offending field otherwise.
     """
-    for name in ("omega", "eta", "delta"):
-        value = getattr(params, name)
-        if not _is_real(value):
-            raise InvalidParam(name, "must be a real number")
-        if not math.isfinite(value):
-            raise InvalidParam(name, "must be finite")
-    if params.omega <= 0:
-        raise InvalidParam("omega", "must be > 0")
-    if params.eta < 0:
-        raise InvalidParam("eta", "must be >= 0")
+    ModelParams(params.omega, params.eta, params.delta)  # re-runs the drive checks
     if params.g != params.eta / 2.0:
         raise InvalidParam("g", "must equal eta / 2 exactly")
     if params.epsilon != -params.delta / 2.0:

@@ -38,9 +38,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, NoConvergence
+from .errors import ConvergenceFailure, DomainError, InvalidParam, NoConvergence
 from .hamiltonian import RwaLevel, build_displaced_hamiltonian
-from .model import MAX_TRUNCATION, BasisSpec, ModelParams, _is_integer, validate
+from .model import MAX_TRUNCATION, BasisSpec, ModelParams, _is_integer
 from . import states as _states
 
 __all__ = [
@@ -84,9 +84,11 @@ def _certified_eigh(a: np.ndarray, kind: str) -> EigenDecomposition:
     # for real input this is a sign flip.
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(a.shape[0])]
     vectors = vectors * (np.abs(pivots) / pivots)
-    residual = float(np.max(np.linalg.norm(a @ vectors - vectors * eigenvalues, axis=0)))
+    # An entry near the float limit overflows the norm to inf, which fails the bound.
+    with np.errstate(over="ignore"):
+        residual = float(np.max(np.linalg.norm(a @ vectors - vectors * eigenvalues, axis=0)))
     bound = 1e-9 * (1.0 + float(np.max(np.abs(eigenvalues))))
-    if residual > bound:
+    if not residual <= bound:
         raise NoConvergence(f"residual {residual:.3e} exceeds certified bound {bound:.3e}")
     return EigenDecomposition(eigenvalues, vectors, residual)
 
@@ -224,7 +226,6 @@ def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> Sp
     which cannot hold the levels; if none is that large it visits
     ``n_max_hard`` alone. ``trace`` lists the truncations visited.
     """
-    params = validate(params)
     basis = basis if basis is not None else BasisSpec()
     trace: List[Tuple[int, np.ndarray]] = []
     reach = _reach(params, basis.levels_requested)
@@ -254,20 +255,20 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
     """Fixed-truncation snapshots: per (n, level) energy, tail weight and drift.
 
     Drift compares each truncation against the previous entry of ``n_list``
-    and is None for the first one. Truncations must be increasing integers
-    at most ``MAX_TRUNCATION``, and ``levels`` an integer >= 1.
+    and is None for the first one. ``n_list`` holds increasing integers at most
+    ``MAX_TRUNCATION``, ``levels`` an integer >= 1 that its smallest entry
+    holds; :class:`InvalidParam` names the one that fails, before any solve.
     """
-    params = validate(params)
     if len(n_list) == 0 or not all(_is_integer(n) and n >= 1 for n in n_list):
-        raise ValueError("n_list must hold integer truncations >= 1")
+        raise InvalidParam("n_list", "must hold integer truncations >= 1")
     if max(n_list) > MAX_TRUNCATION:
-        raise ValueError(f"n_list must hold truncations <= {MAX_TRUNCATION}")
+        raise InvalidParam("n_list", f"must hold truncations <= {MAX_TRUNCATION}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+        raise InvalidParam("n_list", "must be strictly increasing")
     if not _is_integer(levels) or levels < 1:
-        raise ValueError("levels must be an integer >= 1")
+        raise InvalidParam("levels", "must be an integer >= 1")
     if levels > 2 * (min(n_list) + 1):
-        raise ValueError("levels exceeds the smallest problem dimension")
+        raise InvalidParam("levels", "exceeds the smallest problem dimension")
     return [{"n": step.n, "level": i, "energy": float(step.energies[i]),
              "tail_weight": float(step.tail_weights[i]),
              "drift": None if step.n == n_list[0] else step.drifts[i]}

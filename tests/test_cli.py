@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import fields
@@ -48,6 +49,13 @@ class TestSpectrum:
         header, rows = read_csv(out)
         energies = [float(r[header.index("energy")]) for r in rows]
         assert energies[:4] == pytest.approx([-0.5, 0.5, 0.5, 1.5], abs=1e-12)
+        # Most coefficients are exact zeros here; none is written as -0.0.
+        out = str(tmp_path / "spec.json")
+        assert run(["spectrum", "--omega", "1", "--eta", "0", "--delta", "0",
+                    "--format", "json", "--out", out]) == 0
+        zeros = [v for level in json.loads(read_bytes(out))["levels"]
+                 for block in level["coefficients"].values() for v in block if v == 0.0]
+        assert zeros and all(math.copysign(1.0, v) == 1.0 for v in zeros)
 
     def test_json_ground_gap_negative(self, tmp_path):
         out = str(tmp_path / "spec.json")
@@ -538,6 +546,7 @@ class TestExitContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
+        return err
 
     def test_coupling_too_large(self, tmp_path, capsys):
         self.assert_rejected(["spectrum", "--omega", "1", "--eta", "1e5", "--delta", "0",
@@ -561,22 +570,30 @@ class TestExitContract:
         self.assert_rejected(["spectrum", *POINT, "--out", str(tmp_path / "spec.csv")],
                              tmp_path, capsys)
 
+    @pytest.mark.parametrize("omega, delta", [("1e300", "0"), ("1", "1e300")])
+    def test_overflowing_residual(self, tmp_path, capsys, omega, delta):
+        err = self.assert_rejected(["spectrum", "--omega", omega, "--eta", "0.2",
+                                    "--delta", delta, "--out", str(tmp_path / "spec.csv")],
+                                   tmp_path, capsys)
+        assert "residual inf" in err and "Warning" not in err
+
     def test_evolve_step_count_not_finite(self, tmp_path, capsys):
         self.assert_rejected(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
                               "--t-max", "1e300", "--dt", "1e-300",
                               "--out", str(tmp_path / "ev.csv")], tmp_path, capsys)
 
-    @pytest.mark.parametrize("n_list, levels", [
-        ("40,20", "10"),    # not increasing
-        ("0,10", "10"),     # truncation below 1
-        (",", "10"),        # empty
-        ("5", "50"),        # more levels than the smallest problem holds
-        ("20", "-3"),       # no level requested
+    @pytest.mark.parametrize("n_list, levels, field", [
+        ("40,20", "10", "n_list"),    # not increasing
+        ("0,10", "10", "n_list"),     # truncation below 1
+        (",", "10", "n_list"),        # empty
+        ("5", "50", "levels"),        # more levels than the smallest problem holds
+        ("20", "-3", "levels"),       # no level requested
     ], ids=["descending", "zero", "empty", "levels-too-many", "levels-negative"])
-    def test_converge_bad_truncations(self, tmp_path, capsys, n_list, levels):
-        self.assert_rejected(["converge", "--omega", "1", "--eta", "0.5", "--delta", "0.3",
-                              f"--n-list={n_list}", f"--levels={levels}",
-                              "--out", str(tmp_path / "cv.csv")], tmp_path, capsys)
+    def test_converge_bad_truncations(self, tmp_path, capsys, n_list, levels, field):
+        err = self.assert_rejected(["converge", "--omega", "1", "--eta", "0.5", "--delta", "0.3",
+                                    f"--n-list={n_list}", f"--levels={levels}",
+                                    "--out", str(tmp_path / "cv.csv")], tmp_path, capsys)
+        assert err.startswith(f"error: invalid parameter '{field}'")
 
     def test_evolve_row_cap(self, tmp_path, capsys, monkeypatch):
         # Without the cap the solve runs and the time list takes 1e12 entries.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,12 @@ def test_negative_omega_rejected():
     with pytest.raises(InvalidParam) as err:
         validate(ModelParams(omega=-1.0, eta=0.2, delta=0.0))
     assert err.value.field == "omega"
+    # A copy with a changed field is checked as it is built, too.
+    with pytest.raises(InvalidParam) as err:
+        dataclasses.replace(ModelParams(omega=1.0, eta=0.2, delta=0.0), omega=-1.0)
+    assert err.value.field == "omega"
+    # Callers that catch bad values as ValueError keep working.
+    assert issubclass(InvalidParam, ValueError)
 
 
 @pytest.mark.parametrize("field,kwargs", [
@@ -30,8 +37,14 @@ def test_negative_omega_rejected():
     ("eta", dict(omega=1.0, eta=math.nan, delta=0.0)),
     ("eta", dict(omega=1.0, eta=-0.1, delta=0.0)),
     ("delta", dict(omega=1.0, eta=0.2, delta=math.inf)),
+    ("eta", dict(omega=1.0, eta=True, delta=0.0)),
+    ("eta", dict(omega=1.0, eta="x", delta=0.0)),
 ])
 def test_bad_fields_named(field, kwargs):
+    # The record rejects the field as it is built, before validate could run.
+    with pytest.raises(InvalidParam) as err:
+        ModelParams(**kwargs)
+    assert err.value.field == field
     with pytest.raises(InvalidParam) as err:
         validate(ModelParams(**kwargs))
     assert err.value.field == field
@@ -52,6 +65,13 @@ def test_revalidation_idempotent():
     assert q is p
     for name in ("omega", "eta", "delta", "g", "epsilon"):
         assert getattr(q, name) == getattr(p, name)
+    # validate still catches a field overwritten after construction.
+    for name, value in [("omega", -1.0), ("eta", True), ("g", 0.2), ("epsilon", -0.6)]:
+        tampered = ModelParams(omega=2.0, eta=0.37, delta=-1.2)
+        object.__setattr__(tampered, name, value)
+        with pytest.raises(InvalidParam) as err:
+            validate(tampered)
+        assert err.value.field == name
 
 
 def test_basis_spec_defaults_valid():

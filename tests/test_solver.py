@@ -85,6 +85,12 @@ class TestEighSymmetric:
             solve_spectrum(params_of(1.0, 0.2, 0.0))
         assert not isinstance(info.value, ConvergenceFailure)
 
+    @pytest.mark.parametrize("omega, delta", [(1e300, 0.0), (1.0, 1e300)])
+    def test_overflowing_residual_raises(self, omega, delta):
+        # The residual norm overflows to inf, which fails the bound without a numpy warning.
+        with pytest.raises(NoConvergence, match="residual inf"):
+            solve_spectrum(params_of(omega, 0.2, delta))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eigh_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -457,10 +463,10 @@ class TestTruncationTable:
                 assert r["drift"] == 0.0
 
     def test_rejects_bad_lists(self):
-        with pytest.raises(ValueError):
-            truncation_table(params_of(1, 0.2, 0), [40, 20], levels=5)
-        with pytest.raises(ValueError):
-            truncation_table(params_of(1, 0.2, 0), [], levels=5)
+        for n_list in ([40, 20], []):
+            with pytest.raises(ValueError) as err:
+                truncation_table(params_of(1, 0.2, 0), n_list, levels=5)
+            assert err.value.field == "n_list"
 
     def test_rejects_truncation_above_cap(self, monkeypatch):
         # Without the cap the first solve allocates a dense (n+1)² overlap table.
@@ -486,8 +492,10 @@ class TestTruncationTable:
             raise AssertionError("solve reached past the input checks")
 
         monkeypatch.setattr(solver, "_solve_at", unreachable)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             truncation_table(params_of(1, 0.2, 0), n_list, levels)
+        # A list of plain ints is good, so the level count is the one named.
+        assert err.value.field == ("levels" if all(type(n) is int for n in n_list) else "n_list")
 
     def test_accepts_numpy_integers(self):
         plain = truncation_table(params_of(1, 0.2, 0.3), [20, 40], 3)

@@ -34,6 +34,14 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real that is a finite float; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Drive parameters of the trapped-ion two-level system, checked at construction.
@@ -63,7 +71,7 @@ class ModelParams:
             value = getattr(self, name)
             if not _is_real(value):
                 raise InvalidParam(name, "must be a real number")
-            if not math.isfinite(value):
+            if not _is_finite(value):
                 raise InvalidParam(name, "must be finite")
         if self.omega <= 0:
             raise InvalidParam("omega", "must be > 0")
@@ -121,7 +129,7 @@ class BasisSpec:
             raise InvalidParam("n_step", "must be >= 1")
         for name in ("tail_tol", "drift_tol"):
             value = getattr(self, name)
-            if not (_is_real(value) and 0 < value < math.inf):
+            if not (_is_real(value) and _is_finite(value) and value > 0):
                 raise InvalidParam(name, "must be a finite real number > 0")
         if not (0 < self.levels_requested <= self.n_start):
             raise InvalidParam("levels_requested", "need 0 < levels_requested <= n_start")

@@ -39,8 +39,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, InvalidParam, NoConvergence
-from .hamiltonian import RwaLevel, build_displaced_hamiltonian
+from .hamiltonian import RwaLevel, _drive_block, build_displaced_hamiltonian
 from .model import MAX_TRUNCATION, BasisSpec, ModelParams, _is_integer
+from .overlap import _table
 from . import states as _states
 
 __all__ = [
@@ -60,7 +61,14 @@ _TAIL_WINDOW = 5
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues, orthonormal column eigenvectors, certified residual."""
+    """Ascending eigenvalues, orthonormal column eigenvectors, certified residual.
+
+    ``eigenvectors`` is C-ordered from ``eigh_symmetric`` / ``eigh_hermitian``
+    and F-ordered when ``solve_spectrum`` merges the two parity sectors at
+    zero detuning. The order is kept on purpose: ``evolve`` multiplies the
+    eigenbasis into every time block, and the last bits of its CSV depend on
+    the memory order of that product's operand.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -127,7 +135,8 @@ class SpectralResult:
     detuning, where ``coeff_d[i] == parities[i] * (-1)^m * coeff_c[i]``
     holds bitwise, and is None otherwise.
     ``decomposition`` keeps the full spectrum at ``n_final`` for the
-    spectral propagator.
+    spectral propagator; its eigenvectors are F-ordered at zero detuning and
+    C-ordered otherwise, and ``evolve`` CSV bytes depend on that order.
     """
 
     params: ModelParams
@@ -171,16 +180,17 @@ class _Step:
 
 
 def _solve_at(params: ModelParams, n: int, k: int, prev: Optional[_Step]) -> _Step:
-    h = build_displaced_hamiltonian(params, n)
     dim = n + 1
     if params.delta != 0.0:
-        dec, parities = eigh_symmetric(h), None
+        dec, parities = eigh_symmetric(build_displaced_hamiltonian(params, n)), None
     else:
         # Parity sectors: (c, d) = (v, p·s·v)/√2 with s = (-1)^m turns h into
-        # one (n+1)-dimensional problem for c per parity p; exact ties put
-        # parity +1 first.
+        # one (n+1)-dimensional problem for c per parity p, diag(m + ε) +
+        # p·h_cd·s, built from the blocks of h without h itself; exact ties
+        # put parity +1 first.
         s = (-1.0) ** np.arange(dim)
-        sectors = [eigh_symmetric(h[:dim, :dim] + p * h[:dim, dim:] * s) for p in (1.0, -1.0)]
+        upper, off = np.diag(np.arange(dim) + params.epsilon), _drive_block(params, n)
+        sectors = [eigh_symmetric(upper + p * off * s) for p in (1.0, -1.0)]
         labels = np.repeat([1.0, -1.0], dim)
         values = np.concatenate([sec.eigenvalues for sec in sectors])
         v = np.hstack([sec.eigenvectors for sec in sectors])
@@ -209,7 +219,15 @@ def _reach(params: ModelParams, k: int) -> float:
 
 
 def _walk(params: ModelParams, n_list: Sequence[int], k: int) -> Iterator[_Step]:
-    """Solve at each truncation in turn, each drift taken against the one before."""
+    """Solve at each truncation in turn, each drift taken against the one before.
+
+    A walk always reaches its second truncation, since the first step's
+    drifts are inf and cannot pass. So the table of D(2g) is built once, at
+    that truncation, before the first step, and the kept table of
+    ``overlap._table`` serves both steps as leading blocks, bitwise the
+    tables a build at each size gives.
+    """
+    _table(2.0 * params.g, n_list[min(1, len(n_list) - 1)])
     step = None
     for n in n_list:
         step = _solve_at(params, n, k, step)
@@ -269,6 +287,7 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
         raise InvalidParam("levels", "must be an integer >= 1")
     if levels > 2 * (min(n_list) + 1):
         raise InvalidParam("levels", "exceeds the smallest problem dimension")
+    _table(2.0 * params.g, n_list[-1])  # every step reads a leading block of it
     return [{"n": step.n, "level": i, "energy": float(step.energies[i]),
              "tail_weight": float(step.tail_weights[i]),
              "drift": None if step.n == n_list[0] else step.drifts[i]}

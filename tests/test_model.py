@@ -39,6 +39,10 @@ def test_negative_omega_rejected():
     ("delta", dict(omega=1.0, eta=0.2, delta=math.inf)),
     ("eta", dict(omega=1.0, eta=True, delta=0.0)),
     ("eta", dict(omega=1.0, eta="x", delta=0.0)),
+    # an int too large for a float is not finite
+    ("omega", dict(omega=10**400, eta=0.2, delta=0.0)),
+    ("eta", dict(omega=1.0, eta=10**400, delta=0.0)),
+    ("delta", dict(omega=1.0, eta=0.2, delta=-10**400)),
 ])
 def test_bad_fields_named(field, kwargs):
     # The record rejects the field as it is built, before validate could run.
@@ -107,6 +111,16 @@ def test_basis_spec_defaults_valid():
 def test_basis_spec_invariants(kwargs):
     with pytest.raises(InvalidParam):
         BasisSpec(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["tail_tol", "drift_tol"])
+def test_basis_spec_rejects_tolerance_beyond_float(name):
+    # An int too large for a float compares below math.inf but fails every later
+    # comparison with a float array, so it is rejected here and named.
+    with pytest.raises(InvalidParam) as err:
+        BasisSpec(**{name: 10**400})
+    assert err.value.field == name
+    assert getattr(BasisSpec(**{name: 1}), name) == 1
 
 
 def test_basis_spec_accepts_numpy_integers():

@@ -1,6 +1,7 @@
 """Overlap-layer tests: frozen high-precision references, independent oracles,
 symmetries, and the dual evaluation paths."""
 
+import hashlib
 import math
 import warnings
 
@@ -410,3 +411,30 @@ class TestTableSlot:
         assert tables[n] == _fresh(beta, n).tobytes()
         assert tables[n + 20] == _fresh(beta, n + 20).tobytes()
 
+
+# sha256 of ``_table(β, n).tobytes()`` as first frozen: a rewrite of the kernel
+# must move no bit of any entry.
+TABLE_DIGESTS = {
+    (0.2, 60): "8de9049d49d2c0647c8a7b4a9cfadbaa415e10a6018ddbbdb4cac39ecdef56f6",
+    (1.0, 60): "dfb83cb6f8d1625d2c3075807de2e16ac69a7a191782c79e26a66881134d3444",
+    (2.0, 60): "a8a9732d1b8c6ff576ec910efb80b586b894ff58429003fc4fe5f92ecc5b48b5",
+    (-1.3, 80): "68a9eda2348ec77083910424d899485b87f8d082b5978de64e1abef15a04a554",
+    (12.0, 220): "8f4080f7045f0116c4ac94262bf248801aeede5f74d280a833a67ea5dc5a6673",
+    (0.5j, 40): "52b4f0658fc86dc975df40fdf0eb386b028bf1ea5bbc99fb28a00ab187b12ef5",
+    (1 + 2j, 30): "adbd114da11fc9d862120c5f6e79003b38b4650f1be1e9842e8aef119f94d18d",
+}
+
+
+class TestTableBits:
+    @pytest.mark.parametrize("beta, n", list(TABLE_DIGESTS))
+    def test_digest_frozen(self, monkeypatch, beta, n):
+        monkeypatch.setattr(overlap, "_slot", (None, None))
+        table = overlap._table(beta, n)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == TABLE_DIGESTS[beta, n]
+
+    def test_beyond_log_factorial_array(self, monkeypatch):
+        # Past MAX_TRUNCATION the kernel computes its own log-factorials, with the same bits.
+        expected = overlap._magnitudes(1.7, 60)
+        monkeypatch.setattr(overlap, "MAX_TRUNCATION", 20)
+        assert overlap._magnitudes(1.7, 60).tobytes() == expected.tobytes()
+        assert overlap._magnitudes(1.7, 15).tobytes() == expected[:16, :16].tobytes()

@@ -25,7 +25,7 @@ from rabi_spectra import (
     truncation_table,
     validate,
 )
-from rabi_spectra import solver
+from rabi_spectra import overlap, solver
 from rabi_spectra.model import MAX_TRUNCATION
 
 
@@ -277,9 +277,18 @@ def sector_reference(params, n):
 
 @pytest.mark.parametrize("omega, eta, n", [(1.0, 0.2, 40), (2.0, 1.0, 60), (0.5, 3.0, 100),
                                            (1.0, 5.0, 140), (3.0, 8.0, 220)])
-def test_sector_solve_matches_re_pivoted_reference(omega, eta, n):
+def test_sector_solve_matches_re_pivoted_reference(monkeypatch, omega, eta, n):
     """Solving each sector for c signs it by the one rule in ``_certified_eigh``."""
+    matrices = []
+    real_eigh = solver.eigh_symmetric
+    monkeypatch.setattr(solver, "eigh_symmetric", lambda a: matrices.append(a) or real_eigh(a))
     step = solver._solve_at(params_of(omega, eta, 0.0), n, 6, None)
+    # The sectors built from the table are bitwise the blocks of h, signed zeros included.
+    h = build_displaced_hamiltonian(params_of(omega, eta, 0.0), n)
+    dim = n + 1
+    s = (-1.0) ** np.arange(dim)
+    assert [a.tobytes() for a in matrices] == [
+        (h[:dim, :dim] + p * h[:dim, dim:] * s).tobytes() for p in (1.0, -1.0)]
     values, vectors, residual, labels = sector_reference(params_of(omega, eta, 0.0), n)
     dec = step.decomposition
     assert dec.eigenvalues.tobytes() == values.tobytes()
@@ -515,6 +524,35 @@ class TestTruncationTable:
         last = [r for r in rows if r["n"] == result.n_final]
         assert [r["tail_weight"] for r in last] == result.tail_weights.tolist()
         assert [r["drift"] for r in last] == result.drifts.tolist()
+
+
+class TestTableBuilds:
+    """A walk builds the table of D(2g) once; every step reads a leading block of it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        sizes = []
+        real = overlap._magnitudes
+        monkeypatch.setattr(overlap, "_magnitudes", lambda r, n: sizes.append(n) or real(r, n))
+        monkeypatch.setattr(overlap, "_slot", (None, None))
+        return sizes
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    def test_two_step_solve_builds_once(self, builds, delta):
+        result = solve_spectrum(params_of(1.0, 0.4137, delta))
+        assert [n for n, _ in result.trace] == [40, 60]
+        assert builds == [60]
+
+    def test_single_truncation_walk_builds_once(self, builds):
+        basis = BasisSpec(n_start=40, n_max_hard=40, levels_requested=3)
+        with pytest.raises(ConvergenceFailure):
+            solve_spectrum(params_of(1.0, 0.4137, 0.0), basis)
+        assert builds == [40]
+
+    def test_truncation_table_builds_at_largest(self, builds):
+        rows = truncation_table(params_of(1.0, 0.5137, 0.3), [20, 40, 60, 80], 3)
+        assert [r["n"] for r in rows[::3]] == [20, 40, 60, 80]
+        assert builds == [80]
 
 
 class TestConvergenceFailureText:

@@ -74,13 +74,8 @@ def build_displaced_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("truncation must be >= 1")
     m = np.arange(n + 1)
-    return _two_blocks(np.diag(m + params.epsilon), np.diag(m - params.epsilon),
-                       _drive_block(params, n))
-
-
-def _drive_block(params: ModelParams, n: int) -> np.ndarray:
-    """The (c, d) block of the displaced Hamiltonian, -(Ω/2)⟨m|D(2g)|k⟩ for m, k <= n."""
-    return -(params.omega / 2.0) * _table(2.0 * params.g, n)
+    off = -(params.omega / 2.0) * _table(2.0 * params.g, n)
+    return _two_blocks(np.diag(m + params.epsilon), np.diag(m - params.epsilon), off)
 
 
 def build_bare_rabi_hamiltonian(params: ModelParams, n: int) -> np.ndarray:

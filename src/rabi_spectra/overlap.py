@@ -28,14 +28,14 @@ at a truncation no larger as a leading-block view. A request for another
 β, or a larger truncation, builds afresh and replaces the slot. Callers
 that know their largest truncation ask for it first: a solver walk asks
 for its second truncation (a walk always reaches it) before its first
-step, so an η sweep, whose points each have their own g, builds D(2g) once
-per point (again for a walk's third step), and a detuning sweep, whose points all share g, builds it only
-when a walk goes past the largest truncation so far. The slot holds that
-one table and nothing else: (n+1)² doubles for real β (0.39 MB at
-n = 220), twice that for complex β. It is process-wide and replaced as
-one tuple, so threads that share it may rebuild a table another thread
-just built, but never read one β's table for another. Every entry point
-reads this table:
+step. So an η sweep, whose points each have their own g, builds D(2g)
+once per point, and again for a walk's third step; a detuning sweep,
+whose points all share g, builds it only when a walk goes past the
+largest truncation so far. The slot holds that one table and nothing
+else: (n+1)² doubles for real β (0.39 MB at n = 220), twice that for
+complex β. It is process-wide and replaced as one tuple, so threads that
+share it may rebuild a table another thread just built, but never read
+one β's table for another. Every entry point reads this table:
 
 * ``displacement_matrix`` returns a fresh writable complex copy of it;
 * ``displacement_element`` reads one entry of it;
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_TRUNCATION, _is_integer
+from .model import _is_integer
 
 __all__ = [
     "log_factorial",
@@ -85,10 +85,6 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-# ln(k!) for every index of a table up to MAX_TRUNCATION; larger tables compute theirs.
-_LOG_FACT = np.array([log_factorial(k) for k in range(MAX_TRUNCATION + 1)])
-
-
 def _magnitudes(r: float, n: int) -> np.ndarray:
     """Symmetric (n+1) x (n+1) table of |⟨m|D(β)|k⟩| for |β| = r > 0.
 
@@ -100,31 +96,30 @@ def _magnitudes(r: float, n: int) -> np.ndarray:
     """
     dim = n + 1
     x = r * r
-    alpha = np.arange(dim, dtype=float)
     # lag[p, α] = L_p^(α)(x), read where p + α <= n
     lag = np.zeros((dim, dim))
     lag[0] = 1.0
     idx = np.arange(dim)
     low = np.minimum.outer(idx, idx)
     diag = np.abs(np.subtract.outer(idx, idx))
-    log_fact = (_LOG_FACT[:dim] if n <= MAX_TRUNCATION
-                else np.array([log_factorial(k) for k in range(dim)]))
+    log_fact = np.array([log_factorial(k) for k in range(dim)])
     with np.errstate(over="ignore", invalid="ignore"):
-        # Recurrence coefficients ((2p - 1) + α) - x and (p - 1) + α, row p for step p.
-        grow = np.add.outer(2.0 * alpha - 1.0, alpha) - x
-        keep = np.add.outer(alpha - 1.0, alpha)
+        # Step p reads ((2p - 1) + α) - x and (p - 1) + α. Their integer
+        # parts are exact, so both are slices of one vector along the row.
+        ints = np.arange(3 * dim, dtype=float)
+        grow = ints - x
         # Each step runs over whole rows: the entries past p + α = n are never
-        # read, and a whole row costs less than slicing it to its used length.
+        # read, and one call per whole row costs less than slicing it short.
         if n >= 1:
-            lag[1] = grow[1]
-        rows, grows, keeps = list(lag), list(grow), list(keep)
+            lag[1] = grow[1:1 + dim]
+        rows = list(lag)
         tail = np.empty(dim)
         for p in range(2, dim):
             row = rows[p]
-            np.multiply(grows[p], rows[p - 1], out=row)
-            np.multiply(keeps[p], rows[p - 2], out=tail)
+            np.multiply(grow[2 * p - 1:2 * p - 1 + dim], rows[p - 1], out=row)
+            np.multiply(ints[p - 1:p - 1 + dim], rows[p - 2], out=tail)
             np.subtract(row, tail, out=row)
-            np.divide(row, alpha[p], out=row)
+            np.divide(row, ints[p], out=row)
         log_mag = 0.5 * (log_fact[low] - log_fact[low + diag]) - 0.5 * x + diag * math.log(r)
         return np.exp(log_mag) * lag[low, diag]
 

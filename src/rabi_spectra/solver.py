@@ -39,9 +39,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, InvalidParam, NoConvergence
-from .hamiltonian import RwaLevel, _drive_block, build_displaced_hamiltonian
+from .hamiltonian import RwaLevel, build_displaced_hamiltonian
 from .model import MAX_TRUNCATION, BasisSpec, ModelParams, _is_integer
-from .overlap import _table
+from . import overlap as _overlap
 from . import states as _states
 
 __all__ = [
@@ -180,17 +180,16 @@ class _Step:
 
 
 def _solve_at(params: ModelParams, n: int, k: int, prev: Optional[_Step]) -> _Step:
+    h = build_displaced_hamiltonian(params, n)
     dim = n + 1
     if params.delta != 0.0:
-        dec, parities = eigh_symmetric(build_displaced_hamiltonian(params, n)), None
+        dec, parities = eigh_symmetric(h), None
     else:
         # Parity sectors: (c, d) = (v, p·s·v)/√2 with s = (-1)^m turns h into
-        # one (n+1)-dimensional problem for c per parity p, diag(m + ε) +
-        # p·h_cd·s, built from the blocks of h without h itself; exact ties
-        # put parity +1 first.
+        # one (n+1)-dimensional problem for c per parity p; exact ties put
+        # parity +1 first.
         s = (-1.0) ** np.arange(dim)
-        upper, off = np.diag(np.arange(dim) + params.epsilon), _drive_block(params, n)
-        sectors = [eigh_symmetric(upper + p * off * s) for p in (1.0, -1.0)]
+        sectors = [eigh_symmetric(h[:dim, :dim] + p * h[:dim, dim:] * s) for p in (1.0, -1.0)]
         labels = np.repeat([1.0, -1.0], dim)
         values = np.concatenate([sec.eigenvalues for sec in sectors])
         v = np.hstack([sec.eigenvectors for sec in sectors])
@@ -218,16 +217,20 @@ def _reach(params: ModelParams, k: int) -> float:
     return reach * reach
 
 
-def _walk(params: ModelParams, n_list: Sequence[int], k: int) -> Iterator[_Step]:
+def _walk(params: ModelParams, n_list: Sequence[int], k: int,
+          n_table: Optional[int] = None) -> Iterator[_Step]:
     """Solve at each truncation in turn, each drift taken against the one before.
 
-    A walk always reaches its second truncation, since the first step's
-    drifts are inf and cannot pass. So the table of D(2g) is built once, at
-    that truncation, before the first step, and the kept table of
-    ``overlap._table`` serves both steps as leading blocks, bitwise the
-    tables a build at each size gives.
+    Before the first step the walk asks for the table of D(2g) at ``n_table``,
+    by default its second truncation: the first step's drifts are inf and
+    cannot pass, so a walk always reaches it. The call only fills the kept
+    slot of ``overlap._table``; every step up to ``n_table`` then reads a
+    leading block of that one table, bitwise the table a build at its own
+    size gives.
     """
-    _table(2.0 * params.g, n_list[min(1, len(n_list) - 1)])
+    if n_table is None:
+        n_table = n_list[min(1, len(n_list) - 1)]
+    _overlap._table(2.0 * params.g, n_table)
     step = None
     for n in n_list:
         step = _solve_at(params, n, k, step)
@@ -287,11 +290,11 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
         raise InvalidParam("levels", "must be an integer >= 1")
     if levels > 2 * (min(n_list) + 1):
         raise InvalidParam("levels", "exceeds the smallest problem dimension")
-    _table(2.0 * params.g, n_list[-1])  # every step reads a leading block of it
     return [{"n": step.n, "level": i, "energy": float(step.energies[i]),
              "tail_weight": float(step.tail_weights[i]),
              "drift": None if step.n == n_list[0] else step.drifts[i]}
-            for step in _walk(params, n_list, levels) for i in range(levels)]
+            for step in _walk(params, n_list, levels, n_table=n_list[-1])
+            for i in range(levels)]
 
 
 def parity_expectation(c: np.ndarray, d: np.ndarray, params: ModelParams) -> float:

@@ -431,10 +431,3 @@ class TestTableBits:
         monkeypatch.setattr(overlap, "_slot", (None, None))
         table = overlap._table(beta, n)
         assert hashlib.sha256(table.tobytes()).hexdigest() == TABLE_DIGESTS[beta, n]
-
-    def test_beyond_log_factorial_array(self, monkeypatch):
-        # Past MAX_TRUNCATION the kernel computes its own log-factorials, with the same bits.
-        expected = overlap._magnitudes(1.7, 60)
-        monkeypatch.setattr(overlap, "MAX_TRUNCATION", 20)
-        assert overlap._magnitudes(1.7, 60).tobytes() == expected.tobytes()
-        assert overlap._magnitudes(1.7, 15).tobytes() == expected[:16, :16].tobytes()

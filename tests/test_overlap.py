@@ -422,6 +422,8 @@ TABLE_DIGESTS = {
     (12.0, 220): "8f4080f7045f0116c4ac94262bf248801aeede5f74d280a833a67ea5dc5a6673",
     (0.5j, 40): "52b4f0658fc86dc975df40fdf0eb386b028bf1ea5bbc99fb28a00ab187b12ef5",
     (1 + 2j, 30): "adbd114da11fc9d862120c5f6e79003b38b4650f1be1e9842e8aef119f94d18d",
+    (28.0, 1200): "fe4e183776728b717d1e5f4267eba48a9e88f7d2440fc26a5431511aaaabb138",
+    (36.0, 1650): "baa40fc107955ee3f5a4cdae0ff4addca11c13b7ade9577e1b5613d4f24b012d",
 }
 
 

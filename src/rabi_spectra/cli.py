@@ -388,8 +388,9 @@ def _initial_state(spec: str, result: SpectralResult):
 def _cmd_evolve(args) -> Tuple[int, dict]:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
-    if args.t_max <= 0 or args.dt <= 0:
-        raise InvalidParam("t_max" if args.t_max <= 0 else "dt", "must be > 0")
+    for name, value in (("t_max", args.t_max), ("dt", args.dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidParam(name, "must be finite and > 0")
     if not math.isfinite(args.t_max / args.dt):
         raise InvalidParam("dt", "t_max/dt must be finite")
     steps = int(round(args.t_max / args.dt))

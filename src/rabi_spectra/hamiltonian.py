@@ -30,7 +30,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _is_integer
 from .overlap import _table, displacement_matrix
 
 __all__ = [
@@ -168,8 +168,8 @@ def rwa_spectrum(params: ModelParams, n_max: int) -> List[RwaLevel]:
     The off-resonant form is obtained by diagonalizing each 2x2 doublet
     block directly and matches ``build_rwa_hamiltonian`` to rounding.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if not _is_integer(n_max) or n_max < 0:
+        raise ValueError("n_max must be an integer >= 0")
     g = params.g
     levels = [RwaLevel("ground", -params.omega / 2.0 + g * g)]
     for k in range(n_max + 1):

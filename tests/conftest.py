@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rabi_spectra import BasisSpec, ModelParams, solve_spectrum, validate
+from rabi_spectra import BasisSpec, ModelParams, overlap, solve_spectrum, validate
 
 # Property tests draw the same examples on every run and are never timed out.
 settings.register_profile("reproducible", derandomize=True, deadline=None)
@@ -34,3 +34,13 @@ def perturbed_eigh(monkeypatch):
         return values, vectors + 1e-6
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The truncation of every table build, in order, starting from an empty slot."""
+    sizes = []
+    build = overlap._displacement
+    monkeypatch.setattr(overlap, "_displacement", lambda beta, n: sizes.append(n) or build(beta, n))
+    monkeypatch.setattr(overlap, "_slot", (None, None))
+    return sizes

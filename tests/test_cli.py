@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabi_spectra import cli, overlap, solver
+from rabi_spectra import cli, solver
 from rabi_spectra.cli import main
 from rabi_spectra.solver import LevelPairing, classify_levels
 
@@ -268,21 +268,12 @@ class TestSweep:
         assert all(r[header.index("parity")] == "" for r in edges)
         assert all(r[header.index("parity")] != "" for r in middle)
 
-    def test_delta_sweep_builds_each_table_once(self, tmp_path, monkeypatch):
+    def test_delta_sweep_builds_each_table_once(self, tmp_path, table_builds):
         # Every point of a detuning sweep shares g, so D(2g) is built once
         # per truncation size, not once per point and truncation.
-        built = []
-        magnitudes = overlap._magnitudes
-
-        def counted(r, n):
-            built.append(n)
-            return magnitudes(r, n)
-
-        monkeypatch.setattr(overlap, "_magnitudes", counted)
-        monkeypatch.setattr(overlap, "_slot", (None, None))
         assert run(["sweep", "--param", "delta", "--from", "-2", "--to", "2", "--steps", "9",
                     "--omega", "2", "--eta", "0.2", "--out", str(tmp_path / "sw.csv")]) == 0
-        assert len(set(built)) == len(built) <= 2
+        assert len(set(table_builds)) == len(table_builds) <= 2
 
     def test_missing_fixed_param_rejected(self, tmp_path):
         out = str(tmp_path / "sw.csv")
@@ -576,6 +567,28 @@ class TestExitContract:
                                     "--delta", delta, "--out", str(tmp_path / "spec.csv")],
                                    tmp_path, capsys)
         assert "residual inf" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("t_max, dt, field", [
+        ("1", "inf", "dt"), ("inf", "1", "t_max"), ("1", "nan", "dt"), ("nan", "0.1", "t_max"),
+        ("0", "0.1", "t_max"), ("1", "-0.1", "dt"),
+    ])
+    def test_evolve_bad_time_flag(self, tmp_path, capsys, monkeypatch, t_max, dt, field):
+        # Each time flag is checked by name before any solve, without a numpy warning.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve reached past the time checks")
+
+        monkeypatch.setattr(cli, "solve_spectrum", unreachable)
+        err = self.assert_rejected(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
+                                    "--t-max", t_max, "--dt", dt,
+                                    "--out", str(tmp_path / "ev.csv")], tmp_path, capsys)
+        assert err.startswith(f"error: invalid parameter '{field}'")
+        assert "Warning" not in err
+
+    def test_table_overflow_names_tested_edge(self, tmp_path, capsys):
+        err = self.assert_rejected(["spectrum", "--omega", "1", "--eta", "38", "--delta", "0.3",
+                                    "--out", str(tmp_path / "spec.csv")], tmp_path, capsys)
+        assert "the table of D(beta) for beta=(38+0j) at n=400" in err
+        assert "|beta| = 36" in err and "displacement_matrix" not in err
 
     def test_evolve_step_count_not_finite(self, tmp_path, capsys):
         self.assert_rejected(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",

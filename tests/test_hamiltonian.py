@@ -183,6 +183,11 @@ class TestFrameRotations:
 
 
 class TestRwa:
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, np.float64(3.0), True, -1])
+    def test_bad_n_max_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            rwa_spectrum(params_of(1, 0.2, 0), n_max)
+
     def test_uncoupled_ground(self):
         p = params_of(1, 0.2, 0)
         w = np.linalg.eigvalsh(build_rwa_hamiltonian(p, 40))

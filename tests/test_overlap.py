@@ -45,6 +45,48 @@ GOLDEN_DISPLACEMENT = {
     (-0.1 + 0.3j, 6, 6): 0.44872218943497449 + 0.0j,
 }
 
+# Entries ⟨m|D(β)|k⟩ of ``_table(β, n)`` out to the edge of the tested
+# domain: the closed Laguerre form evaluated at 80 decimal digits, rounded
+# to double precision. Each sits well inside the Poisson hump or far out in
+# its tail, where the recurrence must still keep relative accuracy.
+DOMAIN_EDGE = {
+    (14.0, 400): {
+        (0, 196): 0.16877133691249963,
+        (196, 196): -0.02756916735780876,
+        (400, 0): 3.0700677242424643e-19,
+        (120, 300): -0.018966056291751885,
+        (37, 5): -3.212134757469585e-18,
+    },
+    (20.0, 800): {
+        (0, 400): 0.14121954115855584,
+        (800, 650): -0.017528791487051207,
+        (250, 600): 0.0315448931850164,
+        (3, 1): -8.971777452560114e-83,
+    },
+    (28.0, 1200): {
+        (0, 784): 0.11935838561692091,
+        (784, 784): -0.00854143167129582,
+        (1200, 1100): -0.00018136118488133276,
+        (500, 900): -0.01512772446348507,
+        (60, 70): 2.1781942583135234e-76,
+    },
+    (36.0, 1650): {
+        (0, 1296): 0.10526641189987147,
+        (1296, 1296): -0.014279976354180697,
+        (1650, 1650): -0.004445884145308012,
+        (1650, 1400): 0.011420167191737125,
+        (900, 1000): 0.0051499408070844735,
+        (20, 25): -4.4866743715458284e-234,
+        (1000, 1650): 0.009372603966753601,
+    },
+    (12 + 16j, 800): {
+        (0, 400): (0.13811253956243258-0.029459891728391377j),
+        (300, 500): (-0.0020912788901930766+0.0002205577301394775j),
+        (500, 300): (-0.0020912788901930766-0.0002205577301394775j),
+        (790, 800): (-0.01951417784654781-0.0029857320571226743j),
+    },
+}
+
 
 def oscillator_ladder(dim):
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
@@ -76,6 +118,14 @@ class TestLogFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             log_factorial(-1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, False, "3"])
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            log_factorial(n)
+
+    def test_numpy_integer_accepted(self):
+        assert log_factorial(np.int64(10)) == log_factorial(10)
 
 
 class TestDisplacedOverlap:
@@ -310,6 +360,14 @@ class TestOverlapMatrix:
             table = overlap_matrix(400, g).values
             norms = np.linalg.norm(table[:10], axis=1)
             assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+class TestDomainEdge:
+    @pytest.mark.parametrize("beta, n", list(DOMAIN_EDGE))
+    def test_matches_references(self, beta, n):
+        table = overlap._table(beta, n)
+        for (m, k), ref in DOMAIN_EDGE[beta, n].items():
+            assert abs(table[m, k] - ref) <= 1e-12 * abs(ref), (m, k)
 
 
 class TestExpmOracle:

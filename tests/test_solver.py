@@ -25,7 +25,7 @@ from rabi_spectra import (
     truncation_table,
     validate,
 )
-from rabi_spectra import overlap, solver
+from rabi_spectra import solver
 from rabi_spectra.model import MAX_TRUNCATION
 
 
@@ -520,30 +520,22 @@ class TestTruncationTable:
 class TestTableBuilds:
     """A walk builds the table of D(2g) once; every step reads a leading block of it."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        sizes = []
-        real = overlap._magnitudes
-        monkeypatch.setattr(overlap, "_magnitudes", lambda r, n: sizes.append(n) or real(r, n))
-        monkeypatch.setattr(overlap, "_slot", (None, None))
-        return sizes
-
     @pytest.mark.parametrize("delta", [0.0, 0.3])
-    def test_two_step_solve_builds_once(self, builds, delta):
+    def test_two_step_solve_builds_once(self, table_builds, delta):
         result = solve_spectrum(params_of(1.0, 0.4137, delta))
         assert [n for n, _ in result.trace] == [40, 60]
-        assert builds == [60]
+        assert table_builds == [60]
 
-    def test_single_truncation_walk_builds_once(self, builds):
+    def test_single_truncation_walk_builds_once(self, table_builds):
         basis = BasisSpec(n_start=40, n_max_hard=40, levels_requested=3)
         with pytest.raises(ConvergenceFailure):
             solve_spectrum(params_of(1.0, 0.4137, 0.0), basis)
-        assert builds == [40]
+        assert table_builds == [40]
 
-    def test_truncation_table_builds_at_largest(self, builds):
+    def test_truncation_table_builds_at_largest(self, table_builds):
         rows = truncation_table(params_of(1.0, 0.5137, 0.3), [20, 40, 60, 80], 3)
         assert [r["n"] for r in rows[::3]] == [20, 40, 60, 80]
-        assert builds == [80]
+        assert table_builds == [80]
 
 
 class TestConvergenceFailureText:

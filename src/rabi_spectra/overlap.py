@@ -137,7 +137,8 @@ def _displacement(beta: complex, n: int) -> np.ndarray:
         # |⟨i|D(β)|j⟩| = sqrt(i!/j!) r^(j-i) e^(-x/2) L_i^(j-i)(x) for j >= i.
         log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])
         diagonals = np.arange(-n, dim)  # j - i, as _by_diagonal reads it
-        table = 0.5 * (log_fact[:, None] - log_fact)
+        table = log_fact[:, None] - log_fact
+        table *= 0.5
         table -= 0.5 * x
         table += _by_diagonal(diagonals * math.log(r), n)
         np.exp(table, out=table)

@@ -80,10 +80,10 @@ DOMAIN_EDGE = {
         (1000, 1650): 0.009372603966753601,
     },
     (12 + 16j, 800): {
-        (0, 400): (0.13811253956243258-0.029459891728391377j),
-        (300, 500): (-0.0020912788901930766+0.0002205577301394775j),
-        (500, 300): (-0.0020912788901930766-0.0002205577301394775j),
-        (790, 800): (-0.01951417784654781-0.0029857320571226743j),
+        (0, 400): 0.13811253956243258 - 0.029459891728391377j,
+        (300, 500): -0.0020912788901930766 + 0.0002205577301394775j,
+        (500, 300): -0.0020912788901930766 - 0.0002205577301394775j,
+        (790, 800): -0.01951417784654781 - 0.0029857320571226743j,
     },
 }
 

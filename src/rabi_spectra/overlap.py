@@ -9,15 +9,13 @@ elements of a single displacement by 2g,
 with p = min(m, n), q = max(m, n), α = q - p and L an associated Laguerre
 polynomial. One private function, ``_table``, makes every table: it
 holds the β = 0 case and the one finiteness check. Its kernel,
-``_displacement``, goes from the recurrence to the table in one pass. It
-runs the Laguerre three-term recurrence upward in p, vectorised across all
-diagonals α at once, into a buffer whose rows lie at stride n + 2, so that
-the same buffer read at stride n + 1 is the upper triangle L_p^(q-p) with
-no gather. It scales that triangle by the log-magnitude, mirrors it by
-selection, and multiplies in the phase (β/|β|)^α below the diagonal
-(m >= n) and (-β*/|β|)^α above it, read through a strided view with one
-value per diagonal. The phases are built by repeated multiplication so
-bases on the real or imaginary axis give exact ±1, ±i.
+``_displacement``, runs the Laguerre three-term recurrence upward in p,
+vectorised across all diagonals α at once, into a buffer that, read at
+another stride, is the upper triangle of the table; it scales, mirrors and
+phases that triangle with no index plane or gather. The phase is
+(β/|β|)^α below the diagonal (m >= n) and (-β*/|β|)^α above it, built by
+repeated multiplication so bases on the real or imaginary axis give exact
+±1, ±i.
 For real β every phase is a real ±1, so the table is real: that is the
 table the displaced Hamiltonian, ``overlap_matrix`` and the basis change
 of ``states`` read. Complex β (the lab frame and the frame change U) takes
@@ -113,7 +111,8 @@ def _displacement(beta: complex, n: int) -> np.ndarray:
     x = r * r
     # Row p holds L_p^(α)(x), read where p + α <= n. The spare last column
     # puts row p at stride dim + 1, so the buffer read at stride dim is the
-    # triangle upper[i, j] = L_i^(j-i)(x), j >= i.
+    # triangle upper[i, j] = L_i^(j-i)(x), j >= i; the mirror below discards
+    # what that view holds under the diagonal.
     lag = np.empty((dim, dim + 1))
     lag[0] = 1.0
     rows = list(lag[:, :dim])

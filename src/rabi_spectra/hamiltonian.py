@@ -30,7 +30,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, _is_integer
+from .model import ModelParams, _check_index
 from .overlap import _table, displacement_matrix
 
 __all__ = [
@@ -71,8 +71,7 @@ def build_displaced_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     one displacement: entry (c_m, d_k) = -(Ω/2)⟨m|D(2g)|k⟩, real for real g.
     The (d, c) block is its transpose, so the result is exactly symmetric.
     """
-    if n < 1:
-        raise ValueError("truncation must be >= 1")
+    _check_index("n", n, low=1)
     m = np.arange(n + 1)
     off = -(params.omega / 2.0) * _table(2.0 * params.g, n)
     return _two_blocks(np.diag(m + params.epsilon), np.diag(m - params.epsilon), off)
@@ -86,6 +85,7 @@ def build_bare_rabi_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     untruncated limit. Slowly convergent in n; serves as the brute-force
     oracle for the displaced route.
     """
+    _check_index("n", n)
     dim = n + 1
     k = np.arange(dim)
     g = params.g
@@ -97,6 +97,7 @@ def build_bare_rabi_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
 
 def build_intermediate_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     """Intermediate-frame Hamiltonian: Ω/2 σ_z + a†a + g(a† + a)σ_x + ε σ_x + g²."""
+    _check_index("n", n)
     dim = n + 1
     k = np.arange(dim)
     g = params.g
@@ -113,9 +114,9 @@ def build_lab_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     low-lying spectrum agrees with the working-frame builds up to the
     (slower) truncation error of the exponential coupling.
     """
+    drive = (params.omega / 2.0) * displacement_matrix(1j * params.eta, n)
     k = np.arange(n + 1)
-    return _two_blocks(np.diag(params.delta / 2.0 + k), np.diag(-params.delta / 2.0 + k),
-                       (params.omega / 2.0) * displacement_matrix(1j * params.eta, n))
+    return _two_blocks(np.diag(params.delta / 2.0 + k), np.diag(-params.delta / 2.0 + k), drive)
 
 
 def build_U_matrix(eta: float, n: int) -> np.ndarray:
@@ -126,8 +127,8 @@ def build_U_matrix(eta: float, n: int) -> np.ndarray:
     unitarity only near the top of the ladder; interior columns are
     unitary to the accuracy of the wave-factor tails.
     """
-    phase = (1.0j ** np.arange(n + 1))[:, None]
     f = displacement_matrix(0.5j * eta, n)
+    phase = (1.0j ** np.arange(n + 1))[:, None]
     phase_f_dag, phase_f = phase * f.conj().T, phase * f
     # + 0.0 turns each -0.0 of the products into the +0.0 a product with diag(i^k) gives.
     return (np.block([[phase_f_dag, phase_f], [-phase_f_dag, phase_f]]) + 0.0) / math.sqrt(2.0)
@@ -146,6 +147,7 @@ def build_rwa_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     Block-diagonal over the doublets {|e,k⟩, |g,k+1⟩} plus the uncoupled
     |g,0⟩; real symmetric in the same block layout as the other builders.
     """
+    _check_index("n", n)
     dim = n + 1
     k = np.arange(dim)
     g = params.g
@@ -168,8 +170,7 @@ def rwa_spectrum(params: ModelParams, n_max: int) -> List[RwaLevel]:
     The off-resonant form is obtained by diagonalizing each 2x2 doublet
     block directly and matches ``build_rwa_hamiltonian`` to rounding.
     """
-    if not _is_integer(n_max) or n_max < 0:
-        raise ValueError("n_max must be an integer >= 0")
+    _check_index("n_max", n_max)
     g = params.g
     levels = [RwaLevel("ground", -params.omega / 2.0 + g * g)]
     for k in range(n_max + 1):

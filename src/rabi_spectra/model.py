@@ -20,14 +20,17 @@ from .errors import InvalidParam
 
 __all__ = ["ModelParams", "BasisSpec", "validate", "MAX_TRUNCATION"]
 
-# Largest truncation n that a basis or a truncation list may ask for. The
-# solver's tables are dense (n+1)² and (2n+2)² arrays, so an unbounded n
-# asks for gigabytes before any other check runs.
+# Largest truncation or Fock index that any public function accepts. The
+# tables are dense (n+1)² and (2n+2)² arrays, so an unbounded n asks for
+# gigabytes before any other check runs.
 MAX_TRUNCATION = 2000
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_index(name: str, value, low: int = 0) -> None:
+    """Reject, naming ``name``, anything but an integer (not a bool) in low … MAX_TRUNCATION."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or not low <= value <= MAX_TRUNCATION):
+        raise InvalidParam(name, f"must be an integer in {low}..{MAX_TRUNCATION}, the truncation cap")
 
 
 def _is_real(value) -> bool:
@@ -106,8 +109,8 @@ class BasisSpec:
     the grid ``n_start, n_start + n_step, …, n_max_hard`` from its first
     point at or above (eta + √levels_requested)², the reach of the lowest
     levels, or visits ``n_max_hard`` alone if none is that large.
-    Truncations and the level count are integers and the tolerances finite
-    reals > 0 (none a bool); ``n_max_hard`` may not exceed ``MAX_TRUNCATION``.
+    Truncations and the level count are integers from 1 to ``MAX_TRUNCATION``
+    and the tolerances finite reals > 0 (none a bool).
     """
 
     n_start: int = 40
@@ -118,18 +121,13 @@ class BasisSpec:
     levels_requested: int = 10
 
     def __post_init__(self):
-        for name in ("n_start", "n_step", "n_max_hard", "levels_requested"):
-            if not _is_integer(getattr(self, name)):
-                raise InvalidParam(name, "must be an integer")
-        if not (0 < self.n_start <= self.n_max_hard):
-            raise InvalidParam("n_start", "need 0 < n_start <= n_max_hard")
-        if self.n_max_hard > MAX_TRUNCATION:
-            raise InvalidParam("n_max_hard", f"must be <= {MAX_TRUNCATION}")
-        if self.n_step < 1:
-            raise InvalidParam("n_step", "must be >= 1")
+        for name in ("n_max_hard", "n_start", "n_step", "levels_requested"):
+            _check_index(name, getattr(self, name), low=1)
+        if self.n_start > self.n_max_hard:
+            raise InvalidParam("n_start", "need n_start <= n_max_hard")
         for name in ("tail_tol", "drift_tol"):
             value = getattr(self, name)
             if not (_is_real(value) and _is_finite(value) and value > 0):
                 raise InvalidParam(name, "must be a finite real number > 0")
-        if not (0 < self.levels_requested <= self.n_start):
-            raise InvalidParam("levels_requested", "need 0 < levels_requested <= n_start")
+        if self.levels_requested > self.n_start:
+            raise InvalidParam("levels_requested", "need levels_requested <= n_start")

@@ -69,7 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _is_integer
+from .errors import InvalidParam
+from .model import _check_index
 
 __all__ = [
     "log_factorial",
@@ -85,9 +86,8 @@ __all__ = [
 
 
 def log_factorial(n: int) -> float:
-    """ln(n!) for integer n >= 0, accurate to ~1 ulp up to n = 400 and beyond."""
-    if not _is_integer(n) or n < 0:
-        raise ValueError("log_factorial requires an integer n >= 0")
+    """ln(n!) for an integer 0 <= n <= MAX_TRUNCATION, accurate to ~1 ulp."""
+    _check_index("n", n)
     return math.lgamma(n + 1)
 
 
@@ -163,16 +163,18 @@ _slot: tuple = (None, None)
 def _table(beta: complex, n: int) -> np.ndarray:
     """Read-only (n+1) x (n+1) table of ⟨m|D(β)|k⟩: real for real β, complex otherwise.
 
-    The one table function: β = 0 gives the identity exactly, and a
-    non-finite table (far outside the tested domain) raises OverflowError
-    and is not kept. A request for the β of the slot at a truncation no
-    larger than the kept table is served as its leading block, which is
-    bitwise the table a fresh build would give.
+    The one table function: a non-finite β or a bad n raises ValueError
+    before any build, β = 0 gives the identity exactly, and a non-finite
+    table (far outside the tested domain) raises OverflowError and is not
+    kept. A request for the β of the slot at a truncation no larger than
+    the kept table is served as its leading block, which is bitwise the
+    table a fresh build would give.
     """
     global _slot
-    if not _is_integer(n) or n < 0:
-        raise ValueError("truncation must be an integer >= 0")
+    _check_index("n", n)
     beta = complex(beta)
+    if not np.isfinite(beta):
+        raise InvalidParam("beta", "must be finite")
     if beta == 0:
         table = np.eye(n + 1)
         table.setflags(write=False)
@@ -197,10 +199,8 @@ def displaced_overlap(m: int, n: int, g: float) -> float:
     references for m, n <= 100 and |g| <= 1.5. At g = 0 returns
     (-1)^m δ_mn exactly.
     """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be >= 0")
-    if not math.isfinite(g):
-        raise ValueError("g must be finite")
+    _check_index("m", m)
+    _check_index("n", n)
     return float(overlap_matrix(max(m, n), g).values[m, n])
 
 
@@ -213,8 +213,8 @@ def displaced_overlap_series(m: int, n: int, g: float) -> float:
     accuracy degrades once roughly (2g)² · min(m, n) grows large. Reliable
     to ~1e-12 for m, n <= 30 with |g| <= 0.5 and to ~1e-8 at |g| = 1.
     """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be >= 0")
+    _check_index("m", m)
+    _check_index("n", n)
     if not math.isfinite(g):
         raise ValueError("g must be finite")
     if g == 0.0:
@@ -238,12 +238,12 @@ def displaced_overlap_series(m: int, n: int, g: float) -> float:
 
 def overlap_ab(m: int, n: int, g: float) -> float:
     """⟨m (displaced by +g) | n (displaced by -g)⟩ = (-1)^n times the overlap coefficient."""
-    return (-1.0) ** n * displaced_overlap(m, n, g)
+    return displaced_overlap(m, n, g) * (-1.0) ** n
 
 
 def overlap_ba(m: int, n: int, g: float) -> float:
     """⟨m (displaced by -g) | n (displaced by +g)⟩ = (-1)^m times the overlap coefficient."""
-    return (-1.0) ** m * displaced_overlap(m, n, g)
+    return displaced_overlap(m, n, g) * (-1.0) ** m
 
 
 def displacement_element(beta: complex, m: int, n: int) -> complex:
@@ -253,8 +253,8 @@ def displacement_element(beta: complex, m: int, n: int) -> complex:
     relative over the same tested domain (m, n <= 1650, |β| <= 36). β = 0
     gives δ_mn exactly.
     """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be >= 0")
+    _check_index("m", m)
+    _check_index("n", n)
     return complex(_table(beta, max(m, n))[m, n])
 
 
@@ -263,7 +263,7 @@ def displacement_matrix(beta: complex, n: int) -> np.ndarray:
 
     A fresh, writable complex copy of the module's table: β = 0 gives the
     identity exactly, a non-finite entry (far outside the tested domain)
-    raises OverflowError, and n must be an integer >= 0 (ValueError).
+    raises OverflowError, and a non-finite β or a bad n ValueError.
     """
     return _table(beta, n).astype(complex)
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, InvalidParam, NoConvergence
 from .hamiltonian import RwaLevel, build_displaced_hamiltonian
-from .model import MAX_TRUNCATION, BasisSpec, ModelParams, _is_integer
+from .model import BasisSpec, ModelParams, _check_index
 from . import overlap as _overlap
 from . import states as _states
 
@@ -280,14 +280,11 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
     ``MAX_TRUNCATION``, ``levels`` an integer >= 1 that its smallest entry
     holds; :class:`InvalidParam` names the one that fails, before any solve.
     """
-    if len(n_list) == 0 or not all(_is_integer(n) and n >= 1 for n in n_list):
-        raise InvalidParam("n_list", "must hold integer truncations >= 1")
-    if max(n_list) > MAX_TRUNCATION:
-        raise InvalidParam("n_list", f"must hold truncations <= {MAX_TRUNCATION}")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise InvalidParam("n_list", "must be strictly increasing")
-    if not _is_integer(levels) or levels < 1:
-        raise InvalidParam("levels", "must be an integer >= 1")
+    for n in n_list:
+        _check_index("n_list", n, low=1)
+    if len(n_list) == 0 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise InvalidParam("n_list", "must be non-empty and strictly increasing")
+    _check_index("levels", levels, low=1)
     if levels > 2 * (min(n_list) + 1):
         raise InvalidParam("levels", "exceeds the smallest problem dimension")
     return [{"n": step.n, "level": i, "energy": float(step.energies[i]),

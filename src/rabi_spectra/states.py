@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, FrameMismatch, IncompleteBasis, NormLoss
 from .hamiltonian import build_bare_rabi_hamiltonian, build_U_matrix, build_V_matrix
+from .model import _check_index
 from .overlap import _table
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,7 +106,9 @@ def _from_flat(vec: np.ndarray, frame: Frame) -> QuantumState:
 
 def basis_state(k: int, spin: str, n: int, frame: Frame = Frame.WORKING) -> QuantumState:
     """Bare product state |k⟩ ⊗ |spin⟩ at truncation n."""
-    if not 0 <= k <= n:
+    _check_index("k", k)
+    _check_index("n", n)
+    if k > n:
         raise ValueError("Fock index outside truncation")
     if spin not in ("e", "g"):
         raise ValueError("spin must be 'e' or 'g'")

@@ -13,11 +13,11 @@ failure (partial results are still written, flagged; evolve writes no data
 file or manifest), 4 initial state outside the converged span (evolve).
 Exit 2 includes an unwritable ``--out``; ``converge`` errors naming ``n_list``
 (empty, not increasing, or a truncation below 1) or ``levels`` (below 1, or
-more than the smallest truncation holds); a truncation above
-``model.MAX_TRUNCATION`` (``--n-max-hard`` or a ``converge`` truncation); a
-``--tail-tol`` or ``--drift-tol`` that is not finite and > 0; and a request
-for more than ``MAX_ROWS`` rows in one data file (``evolve`` time steps,
-``sweep`` steps x levels). All are checked before any solve. Exit 2 also
+more than the smallest truncation holds); a truncation or level count above
+``model.MAX_TRUNCATION`` (``--n-max-hard``, a ``converge`` truncation or
+``--levels``); a ``--tail-tol`` or ``--drift-tol`` that is not finite and > 0;
+and a request for more than ``MAX_ROWS`` rows in one data file (``evolve``
+time steps, ``sweep`` steps x levels). All are checked before any solve. Exit 2 also
 ends a solve whose eigendecomposition fails its residual certificate
 (``NoConvergence``); no file is written then either.
 """

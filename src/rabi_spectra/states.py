@@ -66,7 +66,8 @@ class QuantumState:
     """Normalized amplitudes over the bare number ⊗ spin basis.
 
     ``amps`` has shape (n+1, 2) with the spin column order (|e>, |g>).
-    Construction normalizes; a zero vector is rejected.
+    Construction normalizes; a zero or non-finite vector and a ``frame``
+    that is not a :class:`Frame` are rejected with ValueError.
     """
 
     amps: np.ndarray
@@ -76,6 +77,10 @@ class QuantumState:
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 2 or amps.shape[1] != 2:
             raise ValueError("amps must have shape (n+1, 2)")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amps must be finite")
+        if not isinstance(self.frame, Frame):
+            raise ValueError("frame must be a Frame")
         norm = np.linalg.norm(amps)
         if norm == 0.0:
             raise ValueError("state vector must be nonzero")
@@ -148,7 +153,7 @@ def eigvec_to_bare(c: np.ndarray, d: np.ndarray, g: float) -> QuantumState:
         raise ValueError("coefficient blocks must be equal-length vectors")
     bare = _to_bare(g, np.concatenate([c, d]))
     kept = float(bare @ bare)
-    if kept < _NORM_FLOOR:
+    if not kept >= _NORM_FLOOR:  # a nan coefficient fails too
         raise NormLoss(f"basis change lost {1 - kept:.3e} probability; truncation too small")
     return _from_flat(bare, Frame.WORKING)
 

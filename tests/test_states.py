@@ -63,6 +63,19 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState(np.zeros((4, 2), dtype=complex), Frame.WORKING)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        amps = np.ones((3, 2), dtype=complex)
+        amps[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            QuantumState(amps, Frame.WORKING)
+
+    @pytest.mark.parametrize("frame", ["lab", "H_prime", None, 0])
+    def test_frame_must_be_a_frame(self, frame):
+        # Frames are compared by identity, so a string tag would pass as a frame of its own.
+        with pytest.raises(ValueError, match="Frame"):
+            QuantumState(np.ones((2, 2)), frame)
+
     def test_fixed_phase(self):
         amps = np.zeros((3, 2), dtype=complex)
         amps[1, 0] = 1.0j
@@ -110,6 +123,15 @@ class TestEigvecToBare:
         c[n] = 1.0  # top state spills past the truncation once displaced
         with pytest.raises(NormLoss):
             eigvec_to_bare(c, np.zeros(n + 1), g)
+
+    def test_nan_coefficient_fails_the_floor(self):
+        # nan < floor is False, so the floor has to be tested as "not kept >= floor".
+        with pytest.raises(NormLoss):
+            eigvec_to_bare(np.array([math.nan, 0.0, 0.0]), np.zeros(3), 0.1)
+
+    def test_infinite_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            eigvec_to_bare(np.array([math.inf, 0.0, 0.0]), np.zeros(3), 0.1)
 
     def test_norm_floor_is_on_probability(self):
         # Row 0 of D(0.56) at n = 5 keeps probability 1 - 1.01e-6, just under

@@ -28,7 +28,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
@@ -40,7 +39,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceFailure, IncompleteBasis, InvalidParam, RabiSpectraError
 from .hamiltonian import rwa_spectrum
-from .model import BasisSpec, ModelParams
+from .model import BasisSpec, ModelParams, _is_finite_number
 from .solver import (LevelPairing, SpectralResult, _reach, classify_levels, solve_spectrum,
                      truncation_table)
 from .states import (
@@ -389,9 +388,9 @@ def _cmd_evolve(args) -> Tuple[int, dict]:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
     for name, value in (("t_max", args.t_max), ("dt", args.dt)):
-        if not (math.isfinite(value) and value > 0):
+        if not (_is_finite_number(value) and value > 0):
             raise InvalidParam(name, "must be finite and > 0")
-    if not math.isfinite(args.t_max / args.dt):
+    if not _is_finite_number(args.t_max / args.dt):
         raise InvalidParam("dt", "t_max/dt must be finite")
     steps = int(round(args.t_max / args.dt))
     _check_rows("dt", steps + 1)

@@ -30,7 +30,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, _check_index
+from .model import ModelParams, _check_finite, _check_index
 from .overlap import _table, displacement_matrix
 
 __all__ = [
@@ -127,6 +127,7 @@ def build_U_matrix(eta: float, n: int) -> np.ndarray:
     unitarity only near the top of the ladder; interior columns are
     unitary to the accuracy of the wave-factor tails.
     """
+    _check_finite("eta", eta)
     f = displacement_matrix(0.5j * eta, n)
     phase = (1.0j ** np.arange(n + 1))[:, None]
     phase_f_dag, phase_f = phase * f.conj().T, phase * f

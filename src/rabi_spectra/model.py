@@ -5,13 +5,14 @@ The two-laser drive enters through three numbers: the Rabi frequency ``omega``,
 the Lamb-Dicke parameter ``eta`` and the detuning ``delta``. The derived
 coupling ``g = eta / 2`` and bias ``epsilon = -delta / 2`` are what the
 Hamiltonian builders actually consume; ``delta`` is the only user-facing way
-to set the bias, which avoids sign-convention mistakes. Both records check
-their fields at construction and raise :class:`InvalidParam` naming a bad one.
+to set the bias, which avoids sign-convention mistakes. Every module checks
+integers with ``_check_index`` and numbers with ``_is_finite_number``; a
+bad argument or field raises :class:`InvalidParam` naming it.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = ["ModelParams", "BasisSpec", "validate", "MAX_TRUNCATION"]
 # tables are dense (n+1)² and (2n+2)² arrays, so an unbounded n asks for
 # gigabytes before any other check runs.
 MAX_TRUNCATION = 2000
+_REAL = (int, float, np.integer, np.floating)
 
 
 def _check_index(name: str, value, low: int = 0) -> None:
@@ -33,16 +35,19 @@ def _check_index(name: str, value, low: int = 0) -> None:
         raise InvalidParam(name, f"must be an integer in {low}..{MAX_TRUNCATION}, the truncation cap")
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A real that is a finite float; an int too large for a float is not."""
+def _is_finite_number(value, complex_ok: bool = False) -> bool:
+    """A finite real (or complex, if ``complex_ok``), not a bool; an int beyond a float is not finite."""
     try:
-        return math.isfinite(value)
+        return (isinstance(value, _REAL + (complex, np.complexfloating) if complex_ok else _REAL)
+                and not isinstance(value, bool) and cmath.isfinite(value))
     except OverflowError:
         return False
+
+
+def _check_finite(name: str, value, complex_ok: bool = False) -> None:
+    """Reject, naming ``name``, anything but a finite number (see ``_is_finite_number``)."""
+    if not _is_finite_number(value, complex_ok):
+        raise InvalidParam(name, "must be a finite " + ("complex" if complex_ok else "real") + " number")
 
 
 @dataclass(frozen=True)
@@ -71,11 +76,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("omega", "eta", "delta"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise InvalidParam(name, "must be a real number")
-            if not _is_finite(value):
-                raise InvalidParam(name, "must be finite")
+            _check_finite(name, getattr(self, name))
         if self.omega <= 0:
             raise InvalidParam("omega", "must be > 0")
         if self.eta < 0:
@@ -127,7 +128,7 @@ class BasisSpec:
             raise InvalidParam("n_start", "need n_start <= n_max_hard")
         for name in ("tail_tol", "drift_tol"):
             value = getattr(self, name)
-            if not (_is_real(value) and _is_finite(value) and value > 0):
+            if not (_is_finite_number(value) and value > 0):
                 raise InvalidParam(name, "must be a finite real number > 0")
         if self.levels_requested > self.n_start:
             raise InvalidParam("levels_requested", "need levels_requested <= n_start")

@@ -69,8 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParam
-from .model import _check_index
+from .model import _check_finite, _check_index
 
 __all__ = [
     "log_factorial",
@@ -163,8 +162,9 @@ _slot: tuple = (None, None)
 def _table(beta: complex, n: int) -> np.ndarray:
     """Read-only (n+1) x (n+1) table of ⟨m|D(β)|k⟩: real for real β, complex otherwise.
 
-    The one table function: a non-finite β or a bad n raises ValueError
-    before any build, β = 0 gives the identity exactly, and a non-finite
+    The one table function: a β that is not a finite number (real or
+    complex, not a bool or string) or a bad n raises InvalidParam before
+    any build, β = 0 gives the identity exactly, and a non-finite
     table (far outside the tested domain) raises OverflowError and is not
     kept. A request for the β of the slot at a truncation no larger than
     the kept table is served as its leading block, which is bitwise the
@@ -172,9 +172,8 @@ def _table(beta: complex, n: int) -> np.ndarray:
     """
     global _slot
     _check_index("n", n)
+    _check_finite("beta", beta, complex_ok=True)
     beta = complex(beta)
-    if not np.isfinite(beta):
-        raise InvalidParam("beta", "must be finite")
     if beta == 0:
         table = np.eye(n + 1)
         table.setflags(write=False)
@@ -215,8 +214,7 @@ def displaced_overlap_series(m: int, n: int, g: float) -> float:
     """
     _check_index("m", m)
     _check_index("n", n)
-    if not math.isfinite(g):
-        raise ValueError("g must be finite")
+    _check_finite("g", g)
     if g == 0.0:
         return (-1.0) ** m if m == n else 0.0
     log_2g = math.log(2.0 * abs(g))
@@ -261,9 +259,7 @@ def displacement_element(beta: complex, m: int, n: int) -> complex:
 def displacement_matrix(beta: complex, n: int) -> np.ndarray:
     """Dense (n+1) x (n+1) matrix of ⟨m| exp(β a† - β* a) |k⟩.
 
-    A fresh, writable complex copy of the module's table: β = 0 gives the
-    identity exactly, a non-finite entry (far outside the tested domain)
-    raises OverflowError, and a non-finite β or a bad n ValueError.
+    A fresh, writable complex copy of ``_table``'s table, with its errors.
     """
     return _table(beta, n).astype(complex)
 
@@ -290,5 +286,6 @@ def overlap_matrix(n: int, g: float) -> OverlapMatrix:
     The sign is (-1)^min(m, k) for g > 0 and (-1)^max(m, k) for g < 0, so
     the table is symmetric.
     """
+    _check_finite("g", g)
     table = _table(2.0 * g, n)
     return OverlapMatrix(g=g, n=n, values=table * (-1.0) ** np.arange(n + 1))

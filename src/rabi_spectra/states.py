@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, FrameMismatch, IncompleteBasis, NormLoss
 from .hamiltonian import build_bare_rabi_hamiltonian, build_U_matrix, build_V_matrix
-from .model import _check_index
+from .model import _check_finite, _check_index
 from .overlap import _table
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,6 +131,7 @@ def _to_bare(g: float, vectors: np.ndarray) -> np.ndarray:
     result keeps the memory order of ``vectors``: products over these
     columns (the propagator's) round their last bit according to it.
     """
+    _check_finite("g", g)
     dim = vectors.shape[0] // 2
     table = _table(g, dim - 1)
     bare = np.empty_like(vectors)
@@ -175,6 +176,7 @@ def ideal_cat_state(g: float, n: int) -> QuantumState:
     |g⟩ branch holds only even Fock components and the |e⟩ branch only odd
     ones.
     """
+    _check_finite("g", g)
     table = _table(g, n)
     plus, minus = table[0], table[:, 0]
     amps = np.zeros((n + 1, 2), dtype=complex)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, FrameMismatch, IncompleteBasis, NormLoss
 from .hamiltonian import build_bare_rabi_hamiltonian, build_U_matrix, build_V_matrix
-from .model import _check_finite, _check_index
+from .model import _check_finite, _check_index, _is_finite_number
 from .overlap import _table
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1.0 - 1e-6
+_BAD_TIME = "time must be finite: a real number, not a bool or string"
 
 # Times propagated together by propagate_observables. Larger blocks gain no
 # speed and grow the per-block phase table and state block in memory.
@@ -227,12 +228,13 @@ def evolve(initial: QuantumState, result: "SpectralResult", t: float) -> Quantum
     """Propagate through the eigendecomposition: Σ_i e^{-i E_i t} |E_i⟩⟨E_i|ψ(0)⟩.
 
     ``initial`` must be a working-frame state at the solver's truncation;
-    time is in inverse trap-frequency units. Raises
+    time is in inverse trap-frequency units. Raises :class:`DomainError`
+    unless ``t`` is a finite real number (not a bool or string), and
     :class:`IncompleteBasis` if the initial state is not contained in the
     converged span to 1e-8.
     """
-    if not math.isfinite(t):
-        raise DomainError("time must be finite")
+    if not _is_finite_number(t):
+        raise DomainError(_BAD_TIME)
     energies, columns, weights = _project(initial, result)
     vec = _propagate(energies, columns, weights, np.array([t], dtype=float))[:, 0]
     return _from_flat(vec, Frame.WORKING)
@@ -246,11 +248,15 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
     propagated vectors, so the columns certify propagator unitarity instead
     of restating it. Times are propagated ``_TIME_BLOCK`` at a time, as
     matrix products in real arithmetic on [Re ψ | Im ψ]: the eigenbasis and H are real.
-    Raises :class:`DomainError` if any time is not finite, as :func:`evolve` does.
+    Raises :class:`DomainError` unless ``times`` is a 1-D sequence of finite
+    reals (no bools or strings), as :func:`evolve` does.
     """
-    times = np.fromiter(times, dtype=float)
-    if not np.isfinite(times).all():
-        raise DomainError("time must be finite")
+    if not isinstance(times, np.ndarray):
+        times = np.array(list(times))
+    # The dtype kind rules out bools, strings, complex numbers and ints beyond 64 bits (object).
+    if times.ndim != 1 or times.dtype.kind not in "iuf" or not np.isfinite(times).all():
+        raise DomainError(_BAD_TIME)
+    times = times.astype(float, copy=False)
     energies, columns, weights = _project(initial, result)
     h = build_bare_rabi_hamiltonian(result.params, result.n_final)
     dim = result.n_final + 1

@@ -211,6 +211,7 @@ def displaced_overlap_series(m: int, n: int, g: float) -> float:
     largest term can exceed the result by many orders of magnitude, so
     accuracy degrades once roughly (2g)² · min(m, n) grows large. Reliable
     to ~1e-12 for m, n <= 30 with |g| <= 0.5 and to ~1e-8 at |g| = 1.
+    Raises :class:`InvalidParam` unless g is a finite real number.
     """
     _check_index("m", m)
     _check_index("n", n)

@@ -254,9 +254,12 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
     if not isinstance(times, np.ndarray):
         times = np.array(list(times))
     # The dtype kind rules out bools, strings, complex numbers and ints beyond 64 bits (object).
-    if times.ndim != 1 or times.dtype.kind not in "iuf" or not np.isfinite(times).all():
+    if times.ndim != 1 or times.dtype.kind not in "iuf":
         raise DomainError(_BAD_TIME)
-    times = times.astype(float, copy=False)
+    with np.errstate(over="ignore"):  # a longdouble beyond a float becomes inf, rejected next
+        times = times.astype(float, copy=False)
+    if not np.isfinite(times).all():
+        raise DomainError(_BAD_TIME)
     energies, columns, weights = _project(initial, result)
     h = build_bare_rabi_hamiltonian(result.params, result.n_final)
     dim = result.n_final + 1

@@ -374,6 +374,13 @@ class TestPropagateBlocks:
         with pytest.raises(DomainError, match="time must be finite"):
             propagate_observables(state, result, times)
 
+    def test_time_beyond_a_float_rejected(self, solve):
+        # Finite as a longdouble (where that is wider than a float), inf once cast for propagation.
+        result = solve(1.0, 0.2, 0.0)
+        state = basis_state(0, "g", result.n_final)
+        with pytest.raises(DomainError, match="time must be finite"):
+            propagate_observables(state, result, np.array(["1e4000"]).astype(np.longdouble))
+
     @settings(max_examples=20)
     @given(omega=st.floats(min_value=0.5, max_value=2.0),
            eta=st.floats(min_value=0.0, max_value=1.0))

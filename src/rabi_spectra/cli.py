@@ -17,9 +17,12 @@ more than the smallest truncation holds); a truncation or level count above
 ``model.MAX_TRUNCATION`` (``--n-max-hard``, a ``converge`` truncation or
 ``--levels``); a ``--tail-tol`` or ``--drift-tol`` that is not finite and > 0;
 and a request for more than ``MAX_ROWS`` rows in one data file (``evolve``
-time steps, ``sweep`` steps x levels). All are checked before any solve. Exit 2 also
-ends a solve whose eigendecomposition fails its residual certificate
-(``NoConvergence``); no file is written then either.
+time steps, ``sweep`` steps x levels). ``sweep --preset`` sets ``--param``,
+``--from``, ``--to``, ``--steps`` and the fixed point; giving any of these with
+it, or a fixed value for the swept parameter, is exit 2 naming that flag. All
+are checked before any solve. Exit 2 also ends a solve whose eigendecomposition
+fails its residual certificate (``NoConvergence``); no file is written then
+either.
 """
 
 from __future__ import annotations
@@ -217,9 +220,9 @@ def _solve(params: ModelParams,
         return failure.result, failure
 
 
-def _solve_or_partial(params: ModelParams, basis: BasisSpec) -> Tuple[SpectralResult, int]:
-    """Solve, or warn and fall back to the partial result with exit code 3."""
-    result, failure = _solve(params, basis)
+def _solve_or_partial(args) -> Tuple[SpectralResult, int]:
+    """Solve at the point and basis flags, or warn and fall back to the partial result, exit 3."""
+    result, failure = _solve(_params_from_args(args), _basis_from_args(args))
     if failure is None:
         return result, 0
     print(f"warning: {failure}", file=sys.stderr)
@@ -239,9 +242,7 @@ def _check_rows(name: str, rows: int) -> None:
 
 
 def _cmd_spectrum(args) -> Tuple[int, dict]:
-    params = _params_from_args(args)
-    basis = _basis_from_args(args)
-    result, exit_code = _solve_or_partial(params, basis)
+    result, exit_code = _solve_or_partial(args)
     pairing = _pairing(result)
     records = _level_records(result)
     if args.format == "json":
@@ -265,9 +266,7 @@ def _cmd_spectrum(args) -> Tuple[int, dict]:
 
 
 def _cmd_compare_rwa(args) -> Tuple[int, dict]:
-    params = _params_from_args(args)
-    basis = _basis_from_args(args)
-    result, exit_code = _solve_or_partial(params, basis)
+    result, exit_code = _solve_or_partial(args)
     pairing = _pairing(result)
     if args.format == "json":
         _write_json(args.out, {"params": asdict(result.params),
@@ -282,14 +281,14 @@ _SWEEP_HEADER = ("param", "level", "energy", "parity", *_RWA_COLUMNS)
 
 def _cmd_sweep(args) -> Tuple[int, dict]:
     if args.preset:
-        preset = _PRESETS[args.preset]
-        args.param = preset["param"]
-        args.start, args.stop, args.steps = preset["start"], preset["stop"], preset["steps"]
-        for name in ("omega", "eta", "delta"):
-            if name in preset:
-                setattr(args, name, preset[name])
+        for name, value in _PRESETS[args.preset].items():
+            if getattr(args, name) is not None:
+                raise InvalidParam(name, f"is set by --preset {args.preset}")
+            setattr(args, name, value)
     if args.param is None or args.start is None or args.stop is None or args.steps is None:
         raise InvalidParam("param", "sweep needs --param/--from/--to/--steps or --preset")
+    if getattr(args, args.param) is not None:
+        raise InvalidParam(args.param, "is the swept parameter; it takes no fixed value")
     if args.steps < 1:
         raise InvalidParam("steps", "must be >= 1")
     _check_rows("steps", args.steps * args.levels)
@@ -342,29 +341,26 @@ def _cmd_converge(args) -> Tuple[int, dict]:
                "below_reach": below}
 
 
+def _real_amps(state) -> dict:
+    """The real parts of a state's amplitudes, listed by spin level."""
+    return {"e": state.amps[:, 0].real.tolist(),
+            "g": state.amps[:, 1].real.tolist()}
+
+
 def _cmd_cat(args) -> Tuple[int, dict]:
-    params = _params_from_args(args)
-    basis = _basis_from_args(args)
-    result, exit_code = _solve_or_partial(params, basis)
-    ground = eigvec_to_bare(result.coeff_c[0], result.coeff_d[0], params.g).fixed_phase()
+    result, exit_code = _solve_or_partial(args)
+    ground = _initial_state("ground", result).fixed_phase()
     had = hadamard_on_spin(ground).fixed_phase()
-    cat = ideal_cat_state(params.g, result.n_final).fixed_phase()
-    payload = {
-        "params": asdict(params),
+    cat = _initial_state("cat", result).fixed_phase()
+    _write_json(args.out, {
+        "params": asdict(result.params),
         "n": result.n_final,
         "fidelity": fidelity(had, cat),
         "hadamard_ground_norm": float(np.linalg.norm(had.amps)),
         "ideal_cat_norm": float(np.linalg.norm(cat.amps)),
-        "hadamard_ground": {
-            "e": [float(v) for v in had.amps[:, 0].real],
-            "g": [float(v) for v in had.amps[:, 1].real],
-        },
-        "ideal_cat": {
-            "e": [float(v) for v in cat.amps[:, 0].real],
-            "g": [float(v) for v in cat.amps[:, 1].real],
-        },
-    }
-    _write_json(args.out, payload)
+        "hadamard_ground": _real_amps(had),
+        "ideal_cat": _real_amps(cat),
+    })
     return exit_code, _solve_summary(result)
 
 
@@ -430,14 +426,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--from", dest="start", type=float)
     sw.add_argument("--to", dest="stop", type=float)
     sw.add_argument("--steps", type=int)
-    sw.add_argument("--preset", choices=sorted(_PRESETS))
+    sw.add_argument("--preset", choices=sorted(_PRESETS),
+                    help="a paper figure: sets --param/--from/--to/--steps and the fixed "
+                         "point, none of which may be given with it")
     sw.add_argument("--out", default="sweep.csv")
     sw.set_defaults(func=_cmd_sweep)
 
     cv = sub.add_parser("converge", help="energies, tails, drifts over explicit truncations")
     _add_point_flags(cv)
     cv.add_argument("--n-list", required=True, help="comma-separated truncations, e.g. 20,40,60")
-    cv.add_argument("--levels", type=int, default=10)
+    cv.add_argument("--levels", type=int, default=BasisSpec().levels_requested)
     cv.add_argument("--out", default="converge.csv")
     cv.set_defaults(func=_cmd_converge)
 

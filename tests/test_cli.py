@@ -282,6 +282,20 @@ class TestSweep:
         assert code == 2
         assert not os.path.exists(out)
 
+    def test_preset_with_basis_flags(self, tmp_path):
+        # A preset sets the sweep and its fixed point, not the basis flags.
+        out = str(tmp_path / "fig2.csv")
+        assert run(["sweep", "--preset", "fig2", "--levels", "4", "--n-max-hard", "200",
+                    "--out", out]) == 0
+        manifest = json.loads(read_bytes(out + ".manifest.json"))
+        preset = dict(cli._PRESETS["fig2"])
+        assert manifest["sweep"] == {"param": preset.pop("param"), "from": preset.pop("start"),
+                                     "to": preset.pop("stop"), "steps": preset.pop("steps"),
+                                     "fixed": preset}
+        assert manifest["basis"]["levels_requested"] == 4
+        assert manifest["basis"]["n_max_hard"] == 200
+        assert len(read_csv(out)[1]) == 101 * 4
+
     def test_no_nans_in_converged_rows(self, tmp_path):
         out = str(tmp_path / "sw.csv")
         run(["sweep", "--param", "eta", "--from", "0", "--to", "0.4",
@@ -606,6 +620,19 @@ class TestExitContract:
         err = self.assert_rejected(["converge", "--omega", "1", "--eta", "0.5", "--delta", "0.3",
                                     f"--n-list={n_list}", f"--levels={levels}",
                                     "--out", str(tmp_path / "cv.csv")], tmp_path, capsys)
+        assert err.startswith(f"error: invalid parameter '{field}'")
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--preset", "fig3a", "--omega", "5", "--steps", "3"], "steps"),
+        (["--preset", "fig2", "--param", "delta", "--steps", "2"], "param"),
+        (["--param", "eta", "--from", "0", "--to", "1", "--steps", "2",
+          "--omega", "1", "--delta", "0", "--eta", "0.5"], "eta"),
+        (["--preset", "fig2", "--eta", "0.5"], "eta"),
+    ], ids=["preset-and-point", "preset-and-param", "fixed-swept-param", "preset-and-swept-param"])
+    def test_sweep_flag_set_twice(self, tmp_path, capsys, flags, field):
+        # A preset's flags and the swept parameter take no second value.
+        err = self.assert_rejected(["sweep", *flags, "--out", str(tmp_path / "sw.csv")],
+                                   tmp_path, capsys)
         assert err.startswith(f"error: invalid parameter '{field}'")
 
     def test_evolve_row_cap(self, tmp_path, capsys, monkeypatch):

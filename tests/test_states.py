@@ -366,13 +366,30 @@ class TestPropagateBlocks:
         assert propagate_observables(state, result, times).shape == (0, 6)
 
     @pytest.mark.parametrize("times", [[0.0, math.inf, 1.0], np.array([0.0, 1.0, math.nan]),
-                                       (t for t in (0.0, -math.inf))],
-                             ids=["list", "array", "generator"])
+                                       (t for t in (0.0, -math.inf)),
+                                       # A bool among floats, which numpy would promote to 1.0.
+                                       [True, 0.5], (t for t in (0.5, True)),
+                                       # Ragged: numpy would raise its own ValueError.
+                                       [[0.0], 1.0]],
+                             ids=["list", "array", "generator", "bool-in-list",
+                                  "bool-in-generator", "ragged"])
     def test_non_finite_time_rejected(self, solve, times):
         result = solve(1.0, 0.2, 0.0)
         state = basis_state(0, "g", result.n_final)
         with pytest.raises(DomainError, match="time must be finite"):
             propagate_observables(state, result, times)
+
+    @pytest.mark.parametrize("times, expected", [
+        ([np.int64(2), np.float32(0.5)], [2.0, 0.5]),
+        # evolve accepts t = 2**70, an int a float holds; so does each time in a list.
+        ([1, 2 ** 70], [1.0, 2.0 ** 70]),
+    ], ids=["numpy-scalars", "large-int"])
+    def test_finite_times_accepted(self, solve, times, expected):
+        result = solve(1.0, 0.2, 0.0)
+        state = basis_state(0, "g", result.n_final)
+        evolve(state, result, times[-1])
+        table = propagate_observables(state, result, times)
+        assert table[:, 0].tolist() == expected
 
     def test_time_beyond_a_float_rejected(self, solve):
         # Finite as a longdouble (where that is wider than a float), inf once cast for propagation.

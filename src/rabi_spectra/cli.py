@@ -19,10 +19,11 @@ more than the smallest truncation holds); a truncation or level count above
 and a request for more than ``MAX_ROWS`` rows in one data file (``evolve``
 time steps, ``sweep`` steps x levels). ``sweep --preset`` sets ``--param``,
 ``--from``, ``--to``, ``--steps`` and the fixed point; giving any of these with
-it, or a fixed value for the swept parameter, is exit 2 naming that flag. All
-are checked before any solve. Exit 2 also ends a solve whose eigendecomposition
-fails its residual certificate (``NoConvergence``); no file is written then
-either.
+it, or a fixed value for the swept parameter, is exit 2 naming that flag, and
+a ``--from``/``--to`` that is not finite, or whose difference is not, is exit
+2 naming ``start`` or ``stop``. All are checked before any solve. Exit 2 also
+ends a solve whose eigendecomposition fails its residual certificate
+(``NoConvergence``); no file is written then either.
 """
 
 from __future__ import annotations
@@ -289,6 +290,11 @@ def _cmd_sweep(args) -> Tuple[int, dict]:
         raise InvalidParam("param", "sweep needs --param/--from/--to/--steps or --preset")
     if getattr(args, args.param) is not None:
         raise InvalidParam(args.param, "is the swept parameter; it takes no fixed value")
+    for name in ("start", "stop"):
+        if not _is_finite_number(getattr(args, name)):
+            raise InvalidParam(name, "must be finite")
+    if not _is_finite_number(args.stop - args.start):
+        raise InvalidParam("stop", "stop - start must be finite")
     if args.steps < 1:
         raise InvalidParam("steps", "must be >= 1")
     _check_rows("steps", args.steps * args.levels)

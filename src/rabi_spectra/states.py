@@ -46,9 +46,11 @@ _NORM_FLOOR = 1.0 - 1e-6
 _BAD_TIME = "time must be finite: a real number, not a bool or string"
 
 # Times propagated together by propagate_observables. Larger blocks gain no
-# speed and grow the per-block phase table and state block in memory. The
-# size also fixes the last bits of the evolve CSV, as BLAS rounds a wider
-# product differently: 512 or 1024 changed 3 of 4 CSVs at --dt 0.01.
+# speed and grow the phase table and state block in memory. On a grid k·dt
+# the phases come from one table of the offsets within a block; other times
+# take cos and sin per entry. Either way the size fixes the last bits of the
+# evolve CSV, as BLAS rounds a wider product differently: 512 or 1024 changed
+# 3 of 4 CSVs at --dt 0.01.
 _TIME_BLOCK = 64
 
 # Spin axis order inside ``amps``: column 0 = upper level |e>, column 1 = lower level |g>.
@@ -250,6 +252,11 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
     propagated vectors, so the columns certify propagator unitarity instead
     of restating it. Times are propagated ``_TIME_BLOCK`` at a time, as
     matrix products in real arithmetic on [Re ψ | Im ψ]: the eigenbasis and H are real.
+    When ``times`` is exactly the grid k·dt (``np.arange(count) * dt``, or
+    ``np.linspace(0, T, count)``), each phase factorises as e^{-iE t₀} e^{-iE τ}:
+    cos and sin of the offsets τ within a block are computed once, and each
+    block rotates the weights to its first time t₀. Any other ``times`` takes
+    cos and sin per entry. The two agree to rounding: they differ in the last bits.
     Raises :class:`DomainError` unless ``times`` is a 1-D sequence of finite
     reals: each element of a list or other iterable is decided as
     :func:`evolve` decides ``t``, and an array by its integer or float dtype.
@@ -272,20 +279,31 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
     dim = result.n_final + 1
     # Row weights that turn |ψ|² into norm², ⟨σ_z⟩ and ⟨n⟩.
     probe = np.stack([np.ones(2 * dim), np.repeat([1.0, -1.0], dim), np.tile(np.arange(dim), 2)])
-    w_re, w_im = weights.real[:, None], weights.imag[:, None]
+    grid = times.size > 1 and np.array_equal(times, np.arange(times.size) * times[1])
+    if grid:
+        offsets = np.multiply.outer(energies, times[:_TIME_BLOCK])
+        cos_tau, sin_tau = np.cos(offsets), np.sin(offsets, out=offsets)
     out = np.empty((times.size, 6))
     out[:, 0] = times
     for start in range(0, times.size, _TIME_BLOCK):
         block = slice(start, start + _TIME_BLOCK)
-        angles = np.multiply.outer(energies, times[block])
-        cos, sin = np.cos(angles), np.sin(angles)
-        # e^{-iEt} w = (w_re cos + w_im sin) + i (w_im cos - w_re sin)
-        vecs = columns @ np.hstack([w_re * cos + w_im * sin, w_im * cos - w_re * sin])
+        width = min(_TIME_BLOCK, times.size - start)
+        if grid:
+            # e^{-iE t} = e^{-iE t₀} e^{-iE τ}: the weights turn to t₀, the table holds τ.
+            u = weights * np.exp(-1j * energies * times[start])
+            cos, sin = cos_tau[:, :width], sin_tau[:, :width]
+        else:
+            u = weights
+            angles = np.multiply.outer(energies, times[block])
+            cos, sin = np.cos(angles), np.sin(angles)
+        u_re, u_im = u.real[:, None], u.imag[:, None]
+        # e^{-iEt} u = (u_re cos + u_im sin) + i (u_im cos - u_re sin)
+        vecs = columns @ np.hstack([u_re * cos + u_im * sin, u_im * cos - u_re * sin])
         per_part = probe @ (vecs * vecs)
         stats = np.vstack([per_part[0], np.einsum("ij,ij->j", vecs, h @ vecs), per_part[1],
                            2.0 * np.einsum("ij,ij->j", vecs[:dim], vecs[dim:]), per_part[2]])
         # Each observable is the sum of its Re ψ and Im ψ parts.
-        out[block, 1:] = stats.reshape(5, 2, angles.shape[1]).sum(axis=1).T
+        out[block, 1:] = stats.reshape(5, 2, width).sum(axis=1).T
     out[:, 1] = np.sqrt(out[:, 1])
     return out
 

@@ -470,7 +470,8 @@ class TestEvolve:
                         "--out", out]) == 0
         assert read_bytes(outs[0]) == read_bytes(outs[1])
 
-    @pytest.mark.parametrize("dt", ["0.01", "0.1"])
+    # 0.37 has no exact decimal multiples, and 100 is no multiple of it.
+    @pytest.mark.parametrize("dt", ["0.01", "0.1", "0.37"])
     def test_time_column_is_step_times_dt(self, tmp_path, dt):
         out = str(tmp_path / "ev.csv")
         assert run(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
@@ -633,6 +634,18 @@ class TestExitContract:
         # A preset's flags and the swept parameter take no second value.
         err = self.assert_rejected(["sweep", *flags, "--out", str(tmp_path / "sw.csv")],
                                    tmp_path, capsys)
+        assert err.startswith(f"error: invalid parameter '{field}'")
+
+    @pytest.mark.parametrize("param, start, stop, field", [
+        ("eta", "0", "inf", "stop"), ("eta", "nan", "1", "start"),
+        ("delta", "-1e308", "1e308", "stop"),
+    ], ids=["to-inf", "from-nan", "range-overflows"])
+    def test_sweep_range_not_finite(self, tmp_path, capsys, param, start, stop, field):
+        # Checked by name before np.linspace, which would warn and then fail on the swept value.
+        fixed = {"eta": ["--delta", "0"], "delta": ["--eta", "0.2"]}[param]
+        err = self.assert_rejected(["sweep", "--param", param, f"--from={start}", f"--to={stop}",
+                                    "--steps", "3", "--omega", "1", *fixed,
+                                    "--out", str(tmp_path / "sw.csv")], tmp_path, capsys)
         assert err.startswith(f"error: invalid parameter '{field}'")
 
     def test_evolve_row_cap(self, tmp_path, capsys, monkeypatch):

@@ -323,27 +323,30 @@ def reference_table(initial, result, times):
     return np.array(rows).reshape(-1, 6)
 
 
+def initial_state(kind, result):
+    n = result.n_final
+    if kind == "cat":
+        return ideal_cat_state(result.params.g, n)
+    if kind == "fock":
+        return basis_state(0, "g", n)
+    # (|0,g> + i|1,e>)/√2: weights with imaginary parts.
+    return QuantumState(basis_state(0, "g", n).amps + 1j * basis_state(1, "e", n).amps,
+                        Frame.WORKING)
+
+
+BLOCK_EDGE_COUNTS = [0, 1, _TIME_BLOCK - 1, _TIME_BLOCK, _TIME_BLOCK + 1, 2 * _TIME_BLOCK + 3]
+POINTS_AND_STATES = [((1.0, 0.2, 0.0), "cat"), ((1.0, 0.4, 0.3), "fock"),
+                     ((1.0, 0.4, 0.3), "complex")]
+
+
 class TestPropagateBlocks:
     """Blocked propagation against the per-time reference, across block edges."""
 
-    @pytest.mark.parametrize("count", [0, 1, _TIME_BLOCK - 1, _TIME_BLOCK, _TIME_BLOCK + 1,
-                                       2 * _TIME_BLOCK + 3])
-    @pytest.mark.parametrize("point, initial", [
-        ((1.0, 0.2, 0.0), "cat"),
-        ((1.0, 0.4, 0.3), "fock"),
-        ((1.0, 0.4, 0.3), "complex"),
-    ])
+    @pytest.mark.parametrize("count", BLOCK_EDGE_COUNTS)
+    @pytest.mark.parametrize("point, initial", POINTS_AND_STATES)
     def test_matches_per_time_reference(self, solve, count, point, initial):
         result = solve(*point)
-        n = result.n_final
-        if initial == "cat":
-            state = ideal_cat_state(result.params.g, n)
-        elif initial == "fock":
-            state = basis_state(0, "g", n)
-        else:
-            # (|0,g> + i|1,e>)/√2: weights with imaginary parts.
-            state = QuantumState(basis_state(0, "g", n).amps + 1j * basis_state(1, "e", n).amps,
-                                 Frame.WORKING)
+        state = initial_state(initial, result)
         # Unsorted, and negative as well as positive times.
         times = np.random.default_rng(count).permutation(np.linspace(-30.0, 50.0, count))
         table = propagate_observables(state, result, times)
@@ -351,6 +354,37 @@ class TestPropagateBlocks:
         assert np.array_equal(table[:, 0], times)
         assert np.max(np.abs(table - reference_table(state, result, times)),
                       initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("count", BLOCK_EDGE_COUNTS)
+    @pytest.mark.parametrize("point, initial", POINTS_AND_STATES)
+    @pytest.mark.parametrize("grid", [
+        lambda count: np.arange(count) * 0.37,
+        lambda count: np.arange(count) * -0.37,
+        lambda count: np.linspace(0.0, 50.0, count),
+    ], ids=["dt", "negative-dt", "linspace"])
+    def test_grid_matches_per_time_reference(self, solve, count, point, initial, grid):
+        # A grid k·dt takes its phases from the offset table of one block.
+        result = solve(*point)
+        state = initial_state(initial, result)
+        times = grid(count)
+        table = propagate_observables(state, result, times)
+        assert np.array_equal(table[:, 0], times)
+        assert np.max(np.abs(table - reference_table(state, result, times)),
+                      initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("initial", ["cat", "fock"])
+    def test_grid_and_permuted_grid_agree(self, solve, initial):
+        # The dynamics benchmark's grid takes the offset table; the same times
+        # out of order take cos and sin per entry.
+        result = solve(1.0, 0.2, 0.0)
+        state = initial_state(initial, result)
+        times = np.arange(10001) * 0.01
+        order = np.random.default_rng(0).permutation(times.size)
+        permuted = np.empty((times.size, 6))
+        permuted[order] = propagate_observables(state, result, times[order])
+        table = propagate_observables(state, result, times)
+        assert np.array_equal(permuted[:, 0], times)
+        assert np.max(np.abs(table - permuted)) <= 1e-12
 
     def test_generator_input(self, solve):
         result = solve(1.0, 0.2, 0.0)

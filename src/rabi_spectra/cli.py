@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceFailure, IncompleteBasis, InvalidParam, RabiSpectraError
 from .hamiltonian import rwa_spectrum
-from .model import BasisSpec, ModelParams, _is_finite_number
+from .model import BasisSpec, ModelParams, _check_finite, _is_finite_number
 from .solver import (LevelPairing, SpectralResult, _reach, classify_levels, solve_spectrum,
                      truncation_table)
 from .states import (
@@ -291,8 +291,7 @@ def _cmd_sweep(args) -> Tuple[int, dict]:
     if getattr(args, args.param) is not None:
         raise InvalidParam(args.param, "is the swept parameter; it takes no fixed value")
     for name in ("start", "stop"):
-        if not _is_finite_number(getattr(args, name)):
-            raise InvalidParam(name, "must be finite")
+        _check_finite(name, getattr(args, name))
     if not _is_finite_number(args.stop - args.start):
         raise InvalidParam("stop", "stop - start must be finite")
     if args.steps < 1:

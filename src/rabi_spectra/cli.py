@@ -23,7 +23,8 @@ it, or a fixed value for the swept parameter, is exit 2 naming that flag, and
 a ``--from``/``--to`` that is not finite, or whose difference is not, is exit
 2 naming ``start`` or ``stop``. All are checked before any solve. Exit 2 also
 ends a solve whose eigendecomposition fails its residual certificate
-(``NoConvergence``); no file is written then either.
+(``NoConvergence``), and an ``evolve`` whose largest phase max|E|·t_max
+overflows a float, checked after the solve; no file is written then either.
 """
 
 from __future__ import annotations

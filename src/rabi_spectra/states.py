@@ -228,18 +228,26 @@ def _propagate(energies: np.ndarray, columns: np.ndarray, weights: np.ndarray,
     return columns @ (phases * weights[:, None])
 
 
+def _check_phase(energies: np.ndarray, t_max: float) -> None:
+    """Raise :class:`DomainError` when the largest phase max|E|·t_max overflows a float."""
+    # Python floats: an overflowed product is inf, without numpy's warning.
+    if not math.isfinite(float(np.max(np.abs(energies))) * float(t_max)):
+        raise DomainError("time too large: the phase max|E|·|t| overflows a float")
+
+
 def evolve(initial: QuantumState, result: "SpectralResult", t: float) -> QuantumState:
     """Propagate through the eigendecomposition: Σ_i e^{-i E_i t} |E_i⟩⟨E_i|ψ(0)⟩.
 
     ``initial`` must be a working-frame state at the solver's truncation;
     time is in inverse trap-frequency units. Raises :class:`DomainError`
-    unless ``t`` is a finite real number (not a bool or string), and
-    :class:`IncompleteBasis` if the initial state is not contained in the
-    converged span to 1e-8.
+    unless ``t`` is a finite real number (not a bool or string) whose largest
+    phase max|E|·|t| is a finite float, and :class:`IncompleteBasis` if the
+    initial state is not contained in the converged span to 1e-8.
     """
     if not _is_finite_number(t):
         raise DomainError(_BAD_TIME)
     energies, columns, weights = _project(initial, result)
+    _check_phase(energies, abs(t))
     vec = _propagate(energies, columns, weights, np.array([t], dtype=float))[:, 0]
     return _from_flat(vec, Frame.WORKING)
 
@@ -250,7 +258,9 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
 
     Returns a (len(times), 6) array. Norm and energy are measured on the raw
     propagated vectors, so the columns certify propagator unitarity instead
-    of restating it. Times are propagated ``_TIME_BLOCK`` at a time, as
+    of restating it; ⟨H⟩ is taken from the three bands of H (on-site, the
+    ladder at offset 1, the spin coupling at offset n+1), in O(n) work per
+    time. Times are propagated ``_TIME_BLOCK`` at a time, as
     matrix products in real arithmetic on [Re ψ | Im ψ]: the eigenbasis and H are real.
     When ``times`` is exactly the grid k·dt (``np.arange(count) * dt``, or
     ``np.linspace(0, T, count)``), each phase factorises as e^{-iE t₀} e^{-iE τ}:
@@ -259,7 +269,8 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
     cos and sin per entry. The two agree to rounding: they differ in the last bits.
     Raises :class:`DomainError` unless ``times`` is a 1-D sequence of finite
     reals: each element of a list or other iterable is decided as
-    :func:`evolve` decides ``t``, and an array by its integer or float dtype.
+    :func:`evolve` decides ``t``, and an array by its integer or float dtype;
+    and when the largest phase max|E|·max|t| overflows a float.
     """
     if not isinstance(times, np.ndarray):
         # Each element is decided as evolve's t is, before numpy promotes a mixed list.
@@ -275,11 +286,16 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
     if not np.isfinite(times).all():
         raise DomainError(_BAD_TIME)
     energies, columns, weights = _project(initial, result)
+    _check_phase(energies, np.max(np.abs(times), initial=0.0))
     h = build_bare_rabi_hamiltonian(result.params, result.n_final)
     dim = result.n_final + 1
+    # H has three bands: on-site, the ladder at offset 1 (zero between the spin
+    # blocks) and the spin coupling at offset dim, -Ω/2 on every entry.
+    on_site, ladder, coupling = np.diag(h), np.diag(h, 1), h[0, dim]
     # Row weights that turn |ψ|² into norm², ⟨σ_z⟩ and ⟨n⟩.
     probe = np.stack([np.ones(2 * dim), np.repeat([1.0, -1.0], dim), np.tile(np.arange(dim), 2)])
-    grid = times.size > 1 and np.array_equal(times, np.arange(times.size) * times[1])
+    with np.errstate(over="ignore"):  # an overflowed k·times[1] is inf: not the grid
+        grid = times.size > 1 and np.array_equal(times, np.arange(times.size) * times[1])
     if grid:
         offsets = np.multiply.outer(energies, times[:_TIME_BLOCK])
         cos_tau, sin_tau = np.cos(offsets), np.sin(offsets, out=offsets)
@@ -299,9 +315,12 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
         u_re, u_im = u.real[:, None], u.imag[:, None]
         # e^{-iEt} u = (u_re cos + u_im sin) + i (u_im cos - u_re sin)
         vecs = columns @ np.hstack([u_re * cos + u_im * sin, u_im * cos - u_re * sin])
-        per_part = probe @ (vecs * vecs)
-        stats = np.vstack([per_part[0], np.einsum("ij,ij->j", vecs, h @ vecs), per_part[1],
-                           2.0 * np.einsum("ij,ij->j", vecs[:dim], vecs[dim:]), per_part[2]])
+        squares = vecs * vecs
+        per_part = probe @ squares
+        sigma_x = 2.0 * np.einsum("ij,ij->j", vecs[:dim], vecs[dim:])
+        # ⟨H⟩ = Σ h_kk v_k² + 2 Σ h_k,k+1 v_k v_k+1 + 2 Σ h_k,k+dim v_k v_k+dim
+        energy = on_site @ squares + 2.0 * (ladder @ (vecs[:-1] * vecs[1:])) + coupling * sigma_x
+        stats = np.vstack([per_part[0], energy, per_part[1], sigma_x, per_part[2]])
         # Each observable is the sum of its Re ψ and Im ψ parts.
         out[block, 1:] = stats.reshape(5, 2, width).sum(axis=1).T
     out[:, 1] = np.sqrt(out[:, 1])

@@ -658,6 +658,12 @@ class TestExitContract:
                               "--t-max", "1e6", "--dt", "1e-6",
                               "--out", str(tmp_path / "ev.csv")], tmp_path, capsys)
 
+    def test_evolve_phase_overflows(self, tmp_path, capsys):
+        # Finite times whose phase max|E|·t overflows a float; checked after the solve.
+        err = self.assert_rejected(["evolve", *POINT, "--t-max", "1e307", "--dt", "1e306",
+                                    "--out", str(tmp_path / "ev.csv")], tmp_path, capsys)
+        assert "phase" in err and "Warning" not in err
+
     def test_sweep_row_cap(self, tmp_path, capsys, monkeypatch):
         # Without the cap the grid of 10**6 + 1 points is built and solved.
         def unreachable(*args, **kwargs):

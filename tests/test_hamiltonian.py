@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabi_spectra import (
     ModelParams,
@@ -83,6 +85,20 @@ class TestBareBuilder:
         low = np.linalg.eigvalsh(build_displaced_hamiltonian(p, 60))[:10]
         ref = np.linalg.eigvalsh(build_bare_rabi_hamiltonian(p, 200))[:10]
         assert np.max(np.abs(low - ref)) < 1e-8
+
+    @settings(max_examples=50)
+    @given(omega=st.floats(min_value=0.01, max_value=10.0),
+           eta=st.floats(min_value=0.0, max_value=10.0),
+           delta=st.floats(min_value=-10.0, max_value=10.0),
+           n=st.integers(min_value=1, max_value=80))
+    def test_three_bands(self, omega, eta, delta, n):
+        # propagate_observables reads <H> from these bands alone, and takes the
+        # spin coupling at offset n+1 as one constant.
+        h = build_bare_rabi_hamiltonian(params_of(omega, eta, delta), n)
+        assert np.array_equal(h, h.T)
+        bands = sum(np.diag(np.diag(h, k), k) for k in (0, 1, -1, n + 1, -(n + 1)))
+        assert np.array_equal(h, bands)
+        assert np.array_equal(np.diag(h, n + 1), np.full(n + 1, -omega / 2.0))
 
     def test_scalar_shift_linearity(self):
         p = params_of(2, 0.6, 1)

@@ -329,6 +329,8 @@ def initial_state(kind, result):
         return ideal_cat_state(result.params.g, n)
     if kind == "fock":
         return basis_state(0, "g", n)
+    if kind == "ground":
+        return eigvec_to_bare(result.coeff_c[0], result.coeff_d[0], result.params.g)
     # (|0,g> + i|1,e>)/√2: weights with imaginary parts.
     return QuantumState(basis_state(0, "g", n).amps + 1j * basis_state(1, "e", n).amps,
                         Frame.WORKING)
@@ -336,7 +338,7 @@ def initial_state(kind, result):
 
 BLOCK_EDGE_COUNTS = [0, 1, _TIME_BLOCK - 1, _TIME_BLOCK, _TIME_BLOCK + 1, 2 * _TIME_BLOCK + 3]
 POINTS_AND_STATES = [((1.0, 0.2, 0.0), "cat"), ((1.0, 0.4, 0.3), "fock"),
-                     ((1.0, 0.4, 0.3), "complex")]
+                     ((1.0, 0.4, 0.3), "complex"), ((1.3, 2.5, 0.4), "fock")]
 
 
 class TestPropagateBlocks:
@@ -386,6 +388,14 @@ class TestPropagateBlocks:
         assert np.array_equal(permuted[:, 0], times)
         assert np.max(np.abs(table - permuted)) <= 1e-12
 
+    @pytest.mark.parametrize("initial", ["cat", "ground", "fock"])
+    def test_energy_conserved_on_dynamics_grid(self, solve, initial):
+        # <H> from the three bands of H, along the dynamics benchmark's grid.
+        result = solve(1.0, 0.2, 0.0)
+        state = initial_state(initial, result)
+        table = propagate_observables(state, result, np.arange(10001) * 0.01)
+        assert np.max(np.abs(table[:, 2] - table[0, 2])) <= 1e-13
+
     def test_generator_input(self, solve):
         result = solve(1.0, 0.2, 0.0)
         state = basis_state(0, "g", result.n_final)
@@ -431,6 +441,29 @@ class TestPropagateBlocks:
         state = basis_state(0, "g", result.n_final)
         with pytest.raises(DomainError, match="time must be finite"):
             propagate_observables(state, result, np.array(["1e4000"]).astype(np.longdouble))
+
+    @pytest.mark.parametrize("times", [[0.0, 1e308, 0.0], np.arange(11) * 1e306],
+                             ids=["list", "cli-grid"])
+    def test_overflowing_phase_rejected(self, solve, times):
+        # Finite times whose phase E·t overflows a float: refused before the grid
+        # test and any trig, so numpy never warns.
+        result = solve(1.0, 0.2, 0.0)
+        state = basis_state(0, "g", result.n_final)
+        with pytest.raises(DomainError, match="phase"):
+            propagate_observables(state, result, times)
+        with pytest.raises(DomainError, match="phase"):
+            evolve(state, result, max(times))
+
+    def test_grid_test_overflow_means_no_grid(self, solve):
+        # k·times[1] overflows for large k while every phase (|E| ≤ 61 here)
+        # stays finite: the grid test answers "not a grid" without a warning.
+        result = solve(1.0, 0.2, 0.0)
+        state = basis_state(0, "g", result.n_final)
+        times = np.zeros(1000)
+        times[1] = 1e306
+        table = propagate_observables(state, result, times)
+        assert np.array_equal(table[:, 0], times)
+        assert np.max(np.abs(table[2:] - table[0])) <= 1e-12
 
     @settings(max_examples=20)
     @given(omega=st.floats(min_value=0.5, max_value=2.0),

@@ -53,6 +53,11 @@ _BAD_TIME = "time must be finite: a real number, not a bool or string"
 # 3 of 4 CSVs at --dt 0.01.
 _TIME_BLOCK = 64
 
+# propagate_observables drops the levels whose weights together hold at most
+# this norm. The bare eigenbasis is orthonormal, so each propagated vector
+# moves by at most this much.
+_DROP_NORM = 2.0 ** -60
+
 # Spin axis order inside ``amps``: column 0 = upper level |e>, column 1 = lower level |g>.
 _E, _G = 0, 1
 
@@ -221,6 +226,18 @@ def _project(initial: QuantumState, result: "SpectralResult") -> Tuple[np.ndarra
     return energies, columns, weights
 
 
+def _occupied(weights: np.ndarray) -> np.ndarray:
+    """Ascending indices of the levels kept once the smallest |w| are dropped.
+
+    Levels are dropped in ascending |w|, ties in index order, for as long as
+    the norm of the dropped weights stays ≤ ``_DROP_NORM``; the cut is maximal.
+    """
+    magnitudes = np.abs(weights)
+    order = np.argsort(magnitudes, kind="stable")
+    dropped = np.searchsorted(np.cumsum(magnitudes[order] ** 2), _DROP_NORM ** 2, side="right")
+    return np.sort(order[dropped:])
+
+
 def _propagate(energies: np.ndarray, columns: np.ndarray, weights: np.ndarray,
                times: np.ndarray) -> np.ndarray:
     """Flat propagated vectors Σ_i e^{-i E_i t} |E_i⟩⟨E_i|ψ(0)⟩, one column per time."""
@@ -267,6 +284,10 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
     cos and sin of the offsets τ within a block are computed once, and each
     block rotates the weights to its first time t₀. Any other ``times`` takes
     cos and sin per entry. The two agree to rounding: they differ in the last bits.
+    Only the levels the initial state occupies are propagated: after the phase
+    check, which sees the full spectrum, the levels are dropped in ascending
+    |w| while the norm of the dropped weights stays ≤ 2⁻⁶⁰. The bare eigenbasis
+    is orthonormal, so each propagated vector moves by at most 2⁻⁶⁰ in norm.
     Raises :class:`DomainError` unless ``times`` is a 1-D sequence of finite
     reals: each element of a list or other iterable is decided as
     :func:`evolve` decides ``t``, and an array by its integer or float dtype;
@@ -287,6 +308,10 @@ def propagate_observables(initial: QuantumState, result: "SpectralResult",
         raise DomainError(_BAD_TIME)
     energies, columns, weights = _project(initial, result)
     _check_phase(energies, np.max(np.abs(times), initial=0.0))
+    keep = _occupied(weights)
+    # The kept columns keep the basis's memory order, which fixes the last bits of the products.
+    kept = np.empty_like(columns, shape=(columns.shape[0], keep.size))
+    energies, columns, weights = energies[keep], np.take(columns, keep, axis=1, out=kept), weights[keep]
     h = build_bare_rabi_hamiltonian(result.params, result.n_final)
     dim = result.n_final + 1
     # H has three bands: on-site, the ladder at offset 1 (zero between the spin

@@ -408,6 +408,24 @@ class TestBraakOracle:
             assert np.min(np.abs(zeros[int(parity)] - energy)) < 1e-10
 
 
+class TestIntegerDetuningOracle:
+    """At an integer detuning δ = M the working-frame H is the asymmetric
+    quantum Rabi model with bias ε = −M/2, whose levels cross exactly. Where
+    η² + Ω²/4 = |M| + 1, two levels sit at E = 1 + |M|/2; at δ = 0 this is
+    the Juddian point 4g² + Δ² = 1 (Δ = Ω/2)."""
+
+    @settings(max_examples=60)
+    @given(m=st.integers(min_value=-4, max_value=4),
+           fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_two_levels_at_the_crossing(self, m, fraction):
+        # Ω = fraction · 2√(|M|+1) spans (0, 2√(|M|+1)); η closes the curve.
+        omega = fraction * 2.0 * math.sqrt(abs(m) + 1)
+        eta = math.sqrt(max(abs(m) + 1 - omega ** 2 / 4.0, 0.0))
+        result = solve_spectrum(params_of(omega, eta, float(m)))
+        levels = result.energies[result.converged]
+        assert np.count_nonzero(np.abs(levels - (1.0 + abs(m) / 2.0)) <= 1e-12) >= 2
+
+
 class TestClassifyLevels:
     def test_small_coupling_pairing(self, solve):
         result = solve(1.0, 0.1, 0.0)

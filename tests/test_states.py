@@ -36,7 +36,7 @@ from rabi_spectra import (
     validate,
     working_to_intermediate,
 )
-from rabi_spectra.states import _TIME_BLOCK, _project
+from rabi_spectra.states import _DROP_NORM, _TIME_BLOCK, _occupied, _project
 
 
 def params_of(omega, eta, delta):
@@ -337,8 +337,35 @@ def initial_state(kind, result):
 
 
 BLOCK_EDGE_COUNTS = [0, 1, _TIME_BLOCK - 1, _TIME_BLOCK, _TIME_BLOCK + 1, 2 * _TIME_BLOCK + 3]
-POINTS_AND_STATES = [((1.0, 0.2, 0.0), "cat"), ((1.0, 0.4, 0.3), "fock"),
-                     ((1.0, 0.4, 0.3), "complex"), ((1.3, 2.5, 0.4), "fock")]
+# "ground" keeps the fewest levels: 7 of 122 at n = 60.
+POINTS_AND_STATES = [((1.0, 0.2, 0.0), "cat"), ((1.0, 0.2, 0.0), "ground"),
+                     ((1.0, 0.4, 0.3), "fock"), ((1.0, 0.4, 0.3), "complex"),
+                     ((1.3, 2.5, 0.4), "fock")]
+
+# Real and imaginary parts: exact zeros, any size up to 1, sizes near the
+# 2⁻⁶⁰ cut, and powers of two on it.
+_part = st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.floats(-2.0 ** -58, 2.0 ** -58),
+                  st.sampled_from([2.0 ** -60, -2.0 ** -61, 2.0 ** -62]))
+# Drawn with replacement from a small pool, so equal weights are common.
+_mixed_weights = st.lists(st.builds(complex, _part, _part), min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+_large_weights = st.lists(st.builds(complex, st.floats(2.0 ** -59, 1.0), _part),
+                          min_size=1, max_size=40)
+
+
+@given(weights=st.one_of(_mixed_weights, _large_weights).map(np.array))
+def test_occupied_levels_cut(weights):
+    keep = _occupied(weights)
+    dropped = np.setdiff1d(np.arange(weights.size), keep)
+    # The sums of squares round: the bound is held to 1e-12 relative.
+    assert np.linalg.norm(weights[dropped]) <= _DROP_NORM * (1 + 1e-12)
+    if keep.size:
+        # Maximal: dropping the smallest kept weight as well would pass the bound.
+        smallest = keep[np.argmin(np.abs(weights[keep]))]
+        assert np.linalg.norm(weights[np.append(dropped, smallest)]) > _DROP_NORM * (1 - 1e-12)
+    assert np.all(np.diff(keep) > 0)
+    if np.all(np.abs(weights) > _DROP_NORM):
+        assert np.array_equal(keep, np.arange(weights.size))
 
 
 class TestPropagateBlocks:
@@ -442,13 +469,19 @@ class TestPropagateBlocks:
         with pytest.raises(DomainError, match="time must be finite"):
             propagate_observables(state, result, np.array(["1e4000"]).astype(np.longdouble))
 
-    @pytest.mark.parametrize("times", [[0.0, 1e308, 0.0], np.arange(11) * 1e306],
-                             ids=["list", "cli-grid"])
-    def test_overflowing_phase_rejected(self, solve, times):
+    @pytest.mark.parametrize("times, initial", [([0.0, 1e308, 0.0], "fock"),
+                                                (np.arange(11) * 1e306, "fock"),
+                                                ([1e307], "ground")],
+                             ids=["list", "cli-grid", "ground"])
+    def test_overflowing_phase_rejected(self, solve, times, initial):
         # Finite times whose phase E·t overflows a float: refused before the grid
         # test and any trig, so numpy never warns.
         result = solve(1.0, 0.2, 0.0)
-        state = basis_state(0, "g", result.n_final)
+        state = initial_state(initial, result)
+        if initial == "ground":
+            # Over the levels it occupies the phase is finite: the check must see them all.
+            energies, _, weights = _project(state, result)
+            assert math.isfinite(float(np.max(np.abs(energies[_occupied(weights)]))) * max(times))
         with pytest.raises(DomainError, match="phase"):
             propagate_observables(state, result, times)
         with pytest.raises(DomainError, match="phase"):

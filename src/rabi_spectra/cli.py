@@ -1,8 +1,12 @@
 """Command-line front end: spectra, sweeps, convergence studies, states, dynamics.
 
-Output files are deterministic: floats are rendered with 17 significant
-digits, rows are emitted in a fixed order, and timestamps live only in the
-manifest sidecar, never in the data payload. Every data file gets a
+Output files are deterministic: each float in a CSV is Python's ``'%.17g'``
+of the double (17 significant digits, rounded half-even on the exact binary
+value, trailing zeros and a bare ``.`` dropped; fixed form for
+1e-4 <= |x| < 1e17, exponent form otherwise with at least two exponent
+digits; ``nan``, ``inf``, ``-inf`` and ``-0`` for the special values), rows
+are emitted in a fixed order, and timestamps live only in the manifest
+sidecar, never in the data payload. Every data file gets a
 ``<out>.manifest.json`` companion recording the exact parameters,
 convergence status and payload digest. Each ``_cmd_*`` handler writes its
 data file and returns its exit code and its own manifest fields; ``main`` is
@@ -60,8 +64,10 @@ SCHEMA_VERSION = 1
 # Most rows a flag may request in one data file, checked before any solve.
 MAX_ROWS = 10_000_000
 # Rows of a float table formatted and written per step, so a table of
-# MAX_ROWS rows is never held as one string.
-_CSV_BLOCK = 4096
+# MAX_ROWS rows is never held as one string. The renderer's temporaries
+# grow with the block: 4096 rows would raise the peak memory of a 10**4-row
+# evolve by about 8 MB over 512.
+_CSV_BLOCK = 512
 
 _PRESETS = {
     # Coupling sweep at resonance; the two parity chains split as eta grows.
@@ -104,15 +110,159 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
             os.remove(tmp)
 
 
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each double into two halves of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _significands(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 17-digit significand N (uint64) and decimal exponent X of each 1e-6 < a < 1e17.
+
+    N is a * 10**(16 - X) rounded half-even, and 10**16 <= N < 10**17. 10**k is
+    exact for k <= 22, and Dekker's two-product gives a * 10**k exactly as p + e,
+    so X is chosen on the exact product and the rounding is that of a correctly
+    rounded conversion.
+    """
+    pow10 = np.array([float(10 ** k) for k in range(23)])
+    a_hi, a_lo = _split(a)
+
+    def product(X):
+        b = pow10.take(16 - X)
+        b_hi, b_lo = _split(b)
+        p = a * b
+        return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+    # log10 is off by at most one next to a power of ten.
+    X = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+    p, e = product(X)
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    if high.any() or low.any():
+        X += high
+        X -= low
+        p, e = product(X)
+    # p >= 1e16 > 2**53 is an even integer, so rint(e) rounds the sum half-even.
+    # No carry to 10**17: below each power of ten that bounds the range, the
+    # largest double's product lies more than 4 below 10**17.
+    return (p.astype(np.int64) + np.rint(e).astype(np.int64)).view(np.uint64), X
+
+
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each v < 10**8 (uint64), one per byte, the first in the low byte."""
+    q = v // 10000
+    x = q | (v - q * 10000) << 32                     # two 4-digit lanes
+    y = (x * 10486) >> 20 & 0x0000007F0000007F        # lane // 100
+    x = y | (x - y * 100) << 16                       # four 2-digit lanes
+    y = (x * 103) >> 10 & 0x000F000F000F000F          # lane // 10
+    return y | (x - y * 10) << 8
+
+
+_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_ZEROS = 0x3030303030303030  # eight ASCII '0'
+
+
+def _g17_block(block: np.ndarray) -> str:
+    """The CSV text of a 2-D block: each value as ``'%.17g' % value``, ',' between
+    columns and a newline after each row.
+
+    A float block (float64 or narrower) is rendered without a Python call per
+    value. Each value with 1e-6 < |x| < 1e17 (every double of at least
+    10**-6: the double nearest 1e-6 lies below it) gets its 17-digit
+    significand from ``_significands`` and its digits from ``_digits8``;
+    trailing zeros are dropped. Its text (sign, leading zeros, digits with
+    the point, exponent ``e-05``/``e-06`` below 1e-4, separator) is
+    assembled in a row of four uint64 words by byte shifts and masks, and
+    every row is left-aligned with NUL padding, which one boolean selection
+    removes from the block.
+    Zeros, nan, inf and the magnitudes outside that range take one batched
+    ``%`` format per block. Any other dtype takes ``%`` for the whole block,
+    so a value that ``%`` cannot format raises its ``TypeError``.
+    """
+    rows, cols = block.shape
+    if block.dtype.kind != "f" or block.dtype.itemsize > 8:
+        return (",".join(["%.17g"] * cols) + "\n") * rows % tuple(block.ravel().tolist())
+    x = np.asarray(block, dtype=np.float64).ravel()
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e17)
+    N, X = _significands(np.where(fast, a, 1.0))
+    first = N // 10 ** 16
+    rest = N - first * 10 ** 16
+    halves = np.empty((2, x.size), np.uint64)
+    np.floor_divide(rest, 10 ** 8, out=halves[0])
+    np.subtract(rest, halves[0] * 10 ** 8, out=halves[1])
+    digits = _digits8(halves)
+    # The highest nonzero byte of a word sets its float exponent: it counts
+    # the significant digits of each half.
+    kept = (np.frexp(digits.astype(np.float64))[1] + 7) >> 3
+    d = 1 + np.where(halves[1] != 0, 8 + kept[1], kept[0])
+    hi, lo = digits | _ZEROS
+
+    neg = np.signbit(x)
+    # z '0's go before the first digit for 1e-4 <= |x| < 1 (X = -1 .. -4).
+    z = np.where((X < 0) & (X >= -4), -X, 0)
+    # The point goes at byte Q; the text before the exponent and separator has L bytes.
+    Q = np.where(X >= 0, X + 1, 1) + neg
+    L = np.where(d + z + neg > Q, d + z + neg + 1, Q)
+    negu = neg.astype(np.uint64)
+    shift = ((neg + z) << 3).astype(np.uint64)
+    fill = negu * ord("-") | (_ZEROS << (negu << np.uint64(3))) & ~(_ALL << shift)
+    at = shift + np.uint64(8)
+    words = (fill | (first + ord("0")) << shift | hi << at,
+             hi >> (np.uint64(64) - at) | lo << at,
+             lo >> (np.uint64(64) - at))
+    # below[i, k]: the bytes of word i that come before byte k of the row.
+    half_shift = (np.clip(np.arange(24) - 8 * np.arange(3)[:, None], 0, 8) * 4).astype(np.uint64)
+    below = ~((_ALL << half_shift) << half_shift)
+
+    sep = np.full((rows, cols), ord(","), np.uint64)
+    sep[:, -1] = ord("\n")
+    sep = sep.ravel()
+    tail = np.where(X < -4, 0x302D65 | (48 - X).astype(np.uint64) << 24 | sep << 32, sep)
+    bits = ((L & 7) << 3).astype(np.uint64)
+    spill = (tail >> 8) >> (np.uint64(56) - bits)  # the part of the tail in the next word
+    tail <<= bits
+    tail_word = L >> 3
+
+    buf = np.zeros((x.size, 4), np.uint64)
+    carry = 0
+    for i, u in enumerate(words):
+        m = below[i].take(Q)
+        moved = u & ~m
+        w = u & m | (below[i].take(Q + 1) ^ m) & 0x2E2E2E2E2E2E2E2E | moved << 8 | carry
+        carry = moved >> 56
+        w &= below[i].take(L)
+        w |= tail * (tail_word == i) | spill * (tail_word == i - 1)
+        buf[:, i] = w
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ("%-24.17g" * slow.size % tuple(x[slow].tolist())).encode("ascii")
+        chars = np.zeros((slow.size, 32), np.uint8)
+        chars[:, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+        chars[chars == ord(" ")] = 0
+        chars[:, 24] = sep[slow]
+        buf[slow] = chars.view("<u8")
+    # The rows' bytes in text order, on any host: byte k of a word is its bits 8k..8k+7.
+    out = buf.astype("<u8", copy=False).view(np.uint8).ravel()
+    return out[out != 0].tobytes().decode("ascii")
+
+
 def _csv_rows(rows: Union[np.ndarray, Iterable[Sequence]]) -> Iterator[str]:
-    """Rows of ``_fmt`` values one line at a time, or a 2-D float array
-    ``_CSV_BLOCK`` rows at a time, each block rendered by one %.17g format
-    string with no Python call per row or value."""
-    if isinstance(rows, np.ndarray):
-        row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    """Rows of ``_fmt`` values one line at a time, or an array ``_CSV_BLOCK``
+    rows at a time through ``_g17_block``.
+
+    Either way each float is Python's ``'%.17g'`` of the double: 17
+    significant digits, rounded half-even on the exact binary value, with
+    trailing zeros and a bare ``.`` dropped. Fixed form is used for
+    1e-4 <= |x| < 1e17 and exponent form otherwise, with at least two
+    exponent digits; the special values are ``nan``, ``inf``, ``-inf`` and
+    ``-0``. An integer or bool array is written as ``_fmt`` writes its values.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind not in "biu":
         for start in range(0, rows.shape[0], _CSV_BLOCK):
-            block = rows[start:start + _CSV_BLOCK]
-            yield row_fmt * block.shape[0] % tuple(block.ravel().tolist())
+            yield _g17_block(rows[start:start + _CSV_BLOCK])
     else:
         for row in rows:
             yield ",".join(_fmt(v) for v in row) + "\n"
@@ -377,12 +527,18 @@ def _initial_state(spec: str, result: SpectralResult):
     if spec == "cat":
         return ideal_cat_state(params.g, result.n_final)
     if spec.startswith("fock:"):
-        body = spec[len("fock:"):]
         try:
-            k_str, spin = body.split(",")
-            return basis_state(int(k_str), spin.strip(), result.n_final)
-        except (ValueError, IndexError) as exc:
+            k_str, spin = spec[len("fock:"):].split(",")
+            k = int(k_str)
+        except ValueError as exc:
             raise InvalidParam("initial", f"cannot parse '{spec}'") from exc
+        if k > result.n_final:
+            raise InvalidParam("initial", f"Fock index {k} exceeds the solver truncation "
+                                          f"n_final = {result.n_final}")
+        try:
+            return basis_state(k, spin.strip(), result.n_final)
+        except InvalidParam as exc:
+            raise InvalidParam("initial", f"'{spec}': {exc}") from exc
     raise InvalidParam("initial", f"unknown initial state '{spec}'")
 
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Tuple
 
 import numpy as np
 
-from .errors import DomainError, FrameMismatch, IncompleteBasis, NormLoss
+from .errors import DomainError, FrameMismatch, IncompleteBasis, InvalidParam, NormLoss
 from .hamiltonian import build_bare_rabi_hamiltonian, build_U_matrix, build_V_matrix
 from .model import _check_finite, _check_index, _is_finite_number
 from .overlap import _table
@@ -124,9 +124,9 @@ def basis_state(k: int, spin: str, n: int, frame: Frame = Frame.WORKING) -> Quan
     _check_index("k", k)
     _check_index("n", n)
     if k > n:
-        raise ValueError("Fock index outside truncation")
+        raise InvalidParam("k", f"Fock index {k} exceeds the truncation n = {n}")
     if spin not in ("e", "g"):
-        raise ValueError("spin must be 'e' or 'g'")
+        raise InvalidParam("spin", f"must be 'e' or 'g', not {spin!r}")
     amps = np.zeros((n + 1, 2), dtype=complex)
     amps[k, _E if spin == "e" else _G] = 1.0
     return QuantumState(amps, frame)

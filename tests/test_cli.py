@@ -6,11 +6,13 @@ import math
 import os
 import tempfile
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rabi_spectra import cli, solver
 from rabi_spectra.cli import main
@@ -376,8 +378,8 @@ class TestCat:
 
 
 class TestWriteCsv:
-    """A float array is written by one %-format per block of rows, byte for
-    byte as the per-value ``_fmt`` path writes the same rows."""
+    """An array is written a block of rows at a time, byte for byte as the
+    per-value ``_fmt`` path writes the same rows."""
 
     HEADER = ("t", "norm", "energy", "sigma_z", "sigma_x", "n")
 
@@ -413,6 +415,49 @@ class TestWriteCsv:
         with pytest.raises(TypeError):
             cli._write_csv(str(tmp_path / "evolve.csv"), self.HEADER, table)
         assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def _same_as_rows(table, block=None):
+        """The array path and the per-value ``_fmt`` path give the same text."""
+        with mock.patch.object(cli, "_CSV_BLOCK", block or cli._CSV_BLOCK):
+            text = "".join(cli._csv_rows(table))
+        assert text == "".join(cli._csv_rows(table.tolist()))
+        assert text == "".join(cli._csv_rows(list(table)))  # numpy scalars
+        return text
+
+    # Every double: st.floats() favours the special values, raw bit patterns
+    # cover the rest.
+    DOUBLES = st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: float(np.array(bits, np.uint64).view(np.float64))))
+
+    @pytest.mark.parametrize("block", [3, None])
+    @settings(max_examples=200)
+    @given(table=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                            elements=DOUBLES))
+    def test_any_float64_block(self, block, table):
+        self._same_as_rows(table, block)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_])
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_other_dtypes(self, dtype, data):
+        table = data.draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                             max_side=12)))
+        self._same_as_rows(table, 3)
+
+    def test_edge_values(self):
+        edges = [1e-06, 4.46100844333705e-06, 1234567890123456.25, 1234567890123456.75,
+                 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 99999999999999999.0, 5e-324,
+                 np.finfo(np.float64).max]
+        for exponent in range(-30, 21):
+            power = float(f"1e{exponent}")
+            edges += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+        values = np.array(edges + [-v for v in edges])
+        table = np.concatenate([values, np.zeros(-len(values) % 6)]).reshape(-1, 6)
+        lines = self._same_as_rows(table).replace("\n", ",").split(",")
+        assert lines[:len(values)] == ["%.17g" % v for v in values]
+        assert lines[:4] == ["9.9999999999999995e-07", "4.46100844333705e-06",
+                             "1234567890123456.2", "1234567890123456.8"]
 
 
 class TestEvolve:
@@ -461,6 +506,20 @@ class TestEvolve:
                     "--t-max", "1", "--dt", "0.5", "--initial", "banana",
                     "--out", out])
         assert code == 2
+
+    @pytest.mark.parametrize("spec, message", [
+        ("fock:61,g", "Fock index 61 exceeds the solver truncation n_final = 60"),
+        ("fock:3,x", "invalid parameter 'spin'"),
+        ("fock:-1,g", "invalid parameter 'k'"),
+        ("fock:a,g", "cannot parse 'fock:a,g'"),
+    ])
+    def test_bad_fock_state(self, tmp_path, capsys, spec, message):
+        # The solve at this point ends at n_final = 60.
+        code = run(["evolve", *POINT, "--t-max", "1", "--dt", "0.5", "--initial", spec,
+                    "--out", str(tmp_path / "ev.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_two_runs_byte_identical(self, tmp_path):
         outs = [str(tmp_path / f"ev{i}.csv") for i in range(2)]

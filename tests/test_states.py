@@ -14,6 +14,7 @@ from rabi_spectra import (
     Frame,
     FrameMismatch,
     IncompleteBasis,
+    InvalidParam,
     ModelParams,
     NormLoss,
     QuantumState,
@@ -525,6 +526,13 @@ class TestExpectations:
         state = basis_state(0, "e", 4)
         assert expect_sigma_z(state) == 1.0
         assert expect_number(state) == 0.0
+
+    @pytest.mark.parametrize("k, spin, field", [(5, "e", "k"), (0, "x", "spin"), (0, "E", "spin")])
+    def test_basis_state_rejects(self, k, spin, field):
+        with pytest.raises(InvalidParam, match=f"'{field}'") as err:
+            basis_state(k, spin, 4)
+        assert err.value.field == field
+        assert isinstance(err.value, ValueError)
 
     def test_sigma_x_plus_state(self):
         amps = np.zeros((4, 2), dtype=complex)

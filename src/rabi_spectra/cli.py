@@ -4,13 +4,16 @@ Output files are deterministic: each float in a CSV is Python's ``'%.17g'``
 of the double (17 significant digits, rounded half-even on the exact binary
 value, trailing zeros and a bare ``.`` dropped; fixed form for
 1e-4 <= |x| < 1e17, exponent form otherwise with at least two exponent
-digits; ``nan``, ``inf``, ``-inf`` and ``-0`` for the special values), rows
-are emitted in a fixed order, and timestamps live only in the manifest
-sidecar, never in the data payload. Every data file gets a
-``<out>.manifest.json`` companion recording the exact parameters,
-convergence status and payload digest. Each ``_cmd_*`` handler writes its
-data file and returns its exit code and its own manifest fields; ``main`` is
-the one place that writes the manifest, so a handler that raises leaves none.
+digits; ``nan``, ``inf``, ``-inf`` and ``-0`` for the special values). An
+array of floats is rendered exactly without ``%`` for 1e-28 < |x| < 1e17; a
+significand that rounds up to 10**17 (as at 1e-14) is written as 1 with the
+next exponent, as ``%`` writes it. Rows are emitted in a fixed order, and
+timestamps live only in the manifest sidecar, never in the data payload.
+Every data file gets a ``<out>.manifest.json`` companion recording the exact
+parameters, convergence status and payload digest. Each ``_cmd_*`` handler
+writes its data file and returns its exit code and its own manifest fields;
+``main`` is the one place that writes the manifest, so a handler that raises
+leaves none.
 
 Exit codes: 0 success, 2 invalid flags or parameters, 3 convergence
 failure (partial results are still written, flagged; evolve writes no data
@@ -34,6 +37,7 @@ overflows a float, checked after the solve; no file is written then either.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -117,36 +121,108 @@ def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
+def _two_product(a, b, a_parts, b_parts):
+    """Dekker's two-product: p = fl(a * b) and p + e == a * b exactly; ``*_parts`` are the
+    ``_split`` of each factor."""
+    (a_hi, a_lo), (b_hi, b_lo) = a_parts, b_parts
+    p = a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_sum(a, b):
+    """Knuth's two-sum: s = fl(a + b) and s + e == a + b exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fit_exponent(scaled, X):
+    """Move X by one where log10 missed it, so that the exact a * 10**(16 - X) lies in
+    [10**16, 10**17) before rounding; return X and ``scaled(X)``, whose first two terms
+    are that product's leading double p and a remainder with the sign of the rest."""
+    terms = scaled(X)
+    p, r = terms[:2]
+    high = (p > 1e17) | ((p == 1e17) & (r >= 0))
+    low = (p < 1e16) | ((p == 1e16) & (r < 0))
+    if high.any() or low.any():
+        X += high
+        X -= low
+        terms = scaled(X)
+    return X, terms
+
+
 def _significands(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The 17-digit significand N (uint64) and decimal exponent X of each 1e-6 < a < 1e17.
+    """The 17-digit significand N (uint64) and decimal exponent X of each 1e-28 < a < 1e17.
 
     N is a * 10**(16 - X) rounded half-even, and 10**16 <= N < 10**17. 10**k is
     exact for k <= 22, and Dekker's two-product gives a * 10**k exactly as p + e,
     so X is chosen on the exact product and the rounding is that of a correctly
-    rounded conversion.
+    rounded conversion. Values up to 1e-6 (X = -7 .. -28) need 10**k with
+    k = 23 .. 44, which is not a double; they take ``_small_significands`` on
+    their own, so an array without them pays for one comparison. Only there
+    can the rounding carry to 10**17 (as at 1e-14); it is written as
+    N = 10**16 with X + 1.
     """
     pow10 = np.array([float(10 ** k) for k in range(23)])
-    a_hi, a_lo = _split(a)
-
-    def product(X):
-        b = pow10.take(16 - X)
-        b_hi, b_lo = _split(b)
-        p = a * b
-        return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
+    small = np.flatnonzero(a <= 1e-6)
+    big = np.where(a > 1e-6, a, 1.0) if small.size else a
+    parts = _split(big)
     # log10 is off by at most one next to a power of ten.
-    X = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
-    p, e = product(X)
-    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
-    low = (p < 1e16) | ((p == 1e16) & (e < 0))
-    if high.any() or low.any():
-        X += high
-        X -= low
-        p, e = product(X)
+    X = np.minimum(np.maximum(np.floor(np.log10(big)), -6), 16).astype(np.intp)
+
+    def scaled(X):
+        b = pow10.take(16 - X)
+        return _two_product(big, b, parts, _split(b))
+
+    X, (p, e) = _fit_exponent(scaled, X)
     # p >= 1e16 > 2**53 is an even integer, so rint(e) rounds the sum half-even.
     # No carry to 10**17: below each power of ten that bounds the range, the
     # largest double's product lies more than 4 below 10**17.
-    return (p.astype(np.int64) + np.rint(e).astype(np.int64)).view(np.uint64), X
+    N = (p.astype(np.int64) + np.rint(e).astype(np.int64)).view(np.uint64)
+    if small.size:
+        N[small], X[small] = _small_significands(a[small], pow10)
+    return N, X
+
+
+def _small_significands(a: np.ndarray, pow10: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``_significands`` of each 1e-28 < a <= 1e-6, where 10**(16 - X) is not a double.
+
+    a * 10**22 = p1 + e1 exactly, and each part times the exact 10**(-6 - X) is
+    one more two-product, so the four doubles p + e + q + f are the exact
+    a * 10**(16 - X). Knuth's two-sums rewrite them, still exactly, as
+    P + hi + lo1 + d: P = fl(p + fl(e + q)), an even integer above 2**53, and
+    a three-term remainder with |hi| < 9, |lo1| <= ulp(hi)/2 and |d| < 2**-100.
+    lo = fl(lo1 + d) has the sign of lo1 + d, and |lo| < |hi| unless hi is 0,
+    so hi + lo has the sign of the remainder. N is P + rint(hi), moved one
+    step where hi is an exact half and lo says the remainder lies past it:
+    |lo| is below the distance from any other hi to a half. Exact decimal ties
+    occur at X = -7 and -8 (as 3 * 2**-24), and a carry to 10**17 (as at
+    1e-14) is written N = 10**16 with X + 1.
+    """
+    p1, e1 = _two_product(a, 1e22, _split(a), _split(1e22))
+    p1_parts, e1_parts = _split(p1), _split(e1)
+
+    def scaled(X):
+        b = pow10.take(-6 - X)
+        b_parts = _split(b)
+        p, e = _two_product(p1, b, p1_parts, b_parts)
+        q, f = _two_product(e1, b, e1_parts, b_parts)
+        s, t = _two_sum(e, q)
+        P, u = _two_sum(p, s)
+        c, d = _two_sum(t, f)
+        hi, lo = _two_sum(u, c)
+        lo += d
+        return P, hi + lo, hi, lo
+
+    X = np.minimum(np.maximum(np.floor(np.log10(a)), -28), -7).astype(np.intp)
+    X, (P, _, hi, lo) = _fit_exponent(scaled, X)
+    n = np.rint(hi)
+    step = np.sign(lo)
+    n += step * (2 * (hi - n) == step)
+    N = P.astype(np.int64) + n.astype(np.int64)
+    carry = N == 10 ** 17
+    N[carry] = 10 ** 16
+    return N.view(np.uint64), X + carry
 
 
 def _digits8(v: np.ndarray) -> np.ndarray:
@@ -161,6 +237,10 @@ def _digits8(v: np.ndarray) -> np.ndarray:
 
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ZEROS = 0x3030303030303030  # eight ASCII '0'
+# At X + 28, the bytes "e-05" .. "e-28" of each exponent X = -5 .. -28 that
+# exponent form below 1e-4 writes; 0 for the others.
+_EXPONENTS = np.array([0x2D65 | (0x3030 | k // 10 | k % 10 << 8) << 16 if k > 4 else 0
+                       for k in range(28, -17, -1)], np.uint64)
 
 
 def _g17_block(block: np.ndarray) -> str:
@@ -168,14 +248,15 @@ def _g17_block(block: np.ndarray) -> str:
     columns and a newline after each row.
 
     A float block (float64 or narrower) is rendered without a Python call per
-    value. Each value with 1e-6 < |x| < 1e17 (every double of at least
-    10**-6: the double nearest 1e-6 lies below it) gets its 17-digit
-    significand from ``_significands`` and its digits from ``_digits8``;
-    trailing zeros are dropped. Its text (sign, leading zeros, digits with
-    the point, exponent ``e-05``/``e-06`` below 1e-4, separator) is
-    assembled in a row of four uint64 words by byte shifts and masks, and
-    every row is left-aligned with NUL padding, which one boolean selection
-    removes from the block.
+    value. Each value with 1e-28 < |x| < 1e17 (every double of at least
+    10**-28: the double nearest 1e-28 lies below it) gets its 17-digit
+    significand from ``_significands``, which carries a significand that
+    rounds to 10**17 into the next exponent, and its digits from
+    ``_digits8``; trailing zeros are dropped. Its text (sign, leading zeros,
+    digits with the point, exponent ``e-05`` .. ``e-28`` below 1e-4,
+    separator) is assembled in a row of four uint64 words by byte shifts and
+    masks, and every row is left-aligned with NUL padding, which one boolean
+    selection removes from the block.
     Zeros, nan, inf and the magnitudes outside that range take one batched
     ``%`` format per block. Any other dtype takes ``%`` for the whole block,
     so a value that ``%`` cannot format raises its ``TypeError``.
@@ -185,7 +266,7 @@ def _g17_block(block: np.ndarray) -> str:
         return (",".join(["%.17g"] * cols) + "\n") * rows % tuple(block.ravel().tolist())
     x = np.asarray(block, dtype=np.float64).ravel()
     a = np.abs(x)
-    fast = (a > 1e-6) & (a < 1e17)
+    fast = (a > 1e-28) & (a < 1e17)
     N, X = _significands(np.where(fast, a, 1.0))
     first = N // 10 ** 16
     rest = N - first * 10 ** 16
@@ -219,7 +300,7 @@ def _g17_block(block: np.ndarray) -> str:
     sep = np.full((rows, cols), ord(","), np.uint64)
     sep[:, -1] = ord("\n")
     sep = sep.ravel()
-    tail = np.where(X < -4, 0x302D65 | (48 - X).astype(np.uint64) << 24 | sep << 32, sep)
+    tail = np.where(X < -4, _EXPONENTS.take(X + 28) | sep << 32, sep)
     bits = ((L & 7) << 3).astype(np.uint64)
     spill = (tail >> 8) >> (np.uint64(56) - bits)  # the part of the tail in the next word
     tail <<= bits
@@ -560,7 +641,10 @@ def _cmd_evolve(args) -> Tuple[int, dict]:
                "dt": args.dt}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged, and
+    each ``parse_args`` call fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="rabi-spectra",
         description="Trapped-ion spectra beyond the Lamb-Dicke and rotating-wave approximations.",

@@ -448,7 +448,14 @@ class TestWriteCsv:
     def test_edge_values(self):
         edges = [1e-06, 4.46100844333705e-06, 1234567890123456.25, 1234567890123456.75,
                  2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 99999999999999999.0, 5e-324,
-                 np.finfo(np.float64).max]
+                 np.finfo(np.float64).max,
+                 # The only exact decimal ties below 1e-6, at X = -7 and -8.
+                 *[m * 2.0 ** -24 for m in range(3, 16, 2)], 2.0 ** -25, 3 * 2.0 ** -25,
+                 # Less than 2**-54 from a tie: the remainder's leading double is an exact
+                 # half, and only its low part says which way to round.
+                 4.974148370910348e-09, 9.895086944612226e-10, 6.83280278535067e-11]
+        # The powers include 1e-28, where the exact path ends, and 1e-14, whose
+        # significand carries to 10**17.
         for exponent in range(-30, 21):
             power = float(f"1e{exponent}")
             edges += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
@@ -458,6 +465,8 @@ class TestWriteCsv:
         assert lines[:len(values)] == ["%.17g" % v for v in values]
         assert lines[:4] == ["9.9999999999999995e-07", "4.46100844333705e-06",
                              "1234567890123456.2", "1234567890123456.8"]
+        assert lines[10] == "1.7881393432617188e-07"  # 3 * 2**-24, a tie rounded to even
+        assert "1e-14" in lines and "9.9999999999999997e-29" in lines
 
 
 class TestEvolve:
@@ -599,6 +608,49 @@ class TestManifest:
                     "--omega", "1", "--delta", "0", *TINY_BASIS, "--out", out]) == 3
         failed = self.manifest_of(tmp_path, out)["failed_points"]
         assert [p["value"] for p in failed] == [0.5, 0.65, 0.8]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call leaves parse state
+    behind: each command writes the bytes it writes first in a fresh parser."""
+
+    COMMANDS = [
+        # --preset fills the namespace; the sweep after it names its own point.
+        ["sweep", "--preset", "fig2", "--levels", "2"],
+        ["sweep", "--param", "delta", "--from", "-1", "--to", "1", "--steps", "3",
+         "--omega", "2", "--eta", "0.2"],
+        ["sweep", "--preset", "fig3a", "--steps", "3"],  # exit 2
+        ["spectrum", "--omega", "x", "--eta", "0.2", "--delta", "0"],  # argparse exit 2
+        ["spectrum", *POINT, "--format", "json"],
+        ["spectrum", *POINT],
+        ["evolve", *POINT, "--t-max", "1", "--dt", "0.1", "--initial", "cat"],
+        ["evolve", *POINT, "--t-max", "1", "--dt", "0.1"],  # --initial back at ground
+        ["converge", *POINT, "--n-list", "20,40"],
+    ]
+
+    def outputs(self, directory, order, fresh):
+        directory.mkdir()
+        outputs = {}
+        for i in order:
+            if fresh:
+                cli._build_parser.cache_clear()
+            out = directory / f"out{i}"
+            try:
+                code = run([*self.COMMANDS[i], "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            outputs[i] = (code, read_bytes(out) if out.exists() else None)
+        return outputs
+
+    def test_same_bytes_as_a_fresh_parser(self, tmp_path):
+        order = range(len(self.COMMANDS))
+        fresh = self.outputs(tmp_path / "fresh", order, fresh=True)
+        cli._build_parser.cache_clear()
+        # In reverse, so that state left by one command would reach another one.
+        assert self.outputs(tmp_path / "reused", reversed(order), fresh=False) == fresh
+        assert cli._build_parser.cache_info().misses == 1
+        assert [fresh[i][0] for i in order] == [0, 0, 2, 2, 0, 0, 0, 0, 0]
+        assert all(data for code, data in fresh.values() if code == 0)
 
 
 class TestExitContract:

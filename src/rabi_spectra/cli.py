@@ -11,9 +11,11 @@ next exponent, as ``%`` writes it. Rows are emitted in a fixed order, and
 timestamps live only in the manifest sidecar, never in the data payload.
 Every data file gets a ``<out>.manifest.json`` companion recording the exact
 parameters, convergence status and payload digest. Each ``_cmd_*`` handler
-writes its data file and returns its exit code and its own manifest fields;
-``main`` is the one place that writes the manifest, so a handler that raises
-leaves none.
+returns its exit code, the text of its data file (rendered lazily, as it is
+written) and its own manifest fields, and opens no file. ``main`` is the one
+place that writes: the data file, hashing the bytes as it writes them, and
+then the manifest with that digest. A handler that raises leaves no file, and
+a failed write of either file leaves neither.
 
 Exit codes: 0 success, 2 invalid flags or parameters, 3 convergence
 failure (partial results are still written, flagged; evolve writes no data
@@ -42,6 +44,7 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import sys
 from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
@@ -99,19 +102,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path: str, chunks: Iterable[str]) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> str:
     """Write the chunks in turn to a temp file, then ``os.replace`` it onto
-    ``path``, so a crash or an error in a chunk leaves no partial file."""
+    ``path``, so a crash or an error in a chunk leaves no partial file; return
+    the SHA-256 hex digest of the bytes written."""
     tmp = f"{path}.{os.getpid()}.tmp"
+    digest = hashlib.sha256()
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         raise InvalidParam("out", f"cannot write '{path}': {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    return digest.hexdigest()
 
 
 def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -247,24 +256,20 @@ def _g17_block(block: np.ndarray) -> str:
     """The CSV text of a 2-D block: each value as ``'%.17g' % value``, ',' between
     columns and a newline after each row.
 
-    A float block (float64 or narrower) is rendered without a Python call per
-    value. Each value with 1e-28 < |x| < 1e17 (every double of at least
-    10**-28: the double nearest 1e-28 lies below it) gets its 17-digit
-    significand from ``_significands``, which carries a significand that
-    rounds to 10**17 into the next exponent, and its digits from
-    ``_digits8``; trailing zeros are dropped. Its text (sign, leading zeros,
-    digits with the point, exponent ``e-05`` .. ``e-28`` below 1e-4,
-    separator) is assembled in a row of four uint64 words by byte shifts and
-    masks, and every row is left-aligned with NUL padding, which one boolean
-    selection removes from the block.
+    The float64 block is rendered without a Python call per value. Each value
+    with 1e-28 < |x| < 1e17 (every double of at least 10**-28: the double
+    nearest 1e-28 lies below it) gets its 17-digit significand from
+    ``_significands``, which carries a significand that rounds to 10**17 into
+    the next exponent, and its digits from ``_digits8``; trailing zeros are
+    dropped. Its text (sign, leading zeros, digits with the point, exponent
+    ``e-05`` .. ``e-28`` below 1e-4, separator) is assembled in a row of four
+    uint64 words by byte shifts and masks, and every row is left-aligned with
+    NUL padding, which one boolean selection removes from the block.
     Zeros, nan, inf and the magnitudes outside that range take one batched
-    ``%`` format per block. Any other dtype takes ``%`` for the whole block,
-    so a value that ``%`` cannot format raises its ``TypeError``.
+    ``%`` format per block.
     """
     rows, cols = block.shape
-    if block.dtype.kind != "f" or block.dtype.itemsize > 8:
-        return (",".join(["%.17g"] * cols) + "\n") * rows % tuple(block.ravel().tolist())
-    x = np.asarray(block, dtype=np.float64).ravel()
+    x = block.ravel()
     a = np.abs(x)
     fast = (a > 1e-28) & (a < 1e17)
     N, X = _significands(np.where(fast, a, 1.0))
@@ -331,17 +336,17 @@ def _g17_block(block: np.ndarray) -> str:
 
 
 def _csv_rows(rows: Union[np.ndarray, Iterable[Sequence]]) -> Iterator[str]:
-    """Rows of ``_fmt`` values one line at a time, or an array ``_CSV_BLOCK``
-    rows at a time through ``_g17_block``.
+    """Rows of ``_fmt`` values one line at a time, or a float64 array
+    ``_CSV_BLOCK`` rows at a time through ``_g17_block``.
 
     Either way each float is Python's ``'%.17g'`` of the double: 17
     significant digits, rounded half-even on the exact binary value, with
     trailing zeros and a bare ``.`` dropped. Fixed form is used for
     1e-4 <= |x| < 1e17 and exponent form otherwise, with at least two
     exponent digits; the special values are ``nan``, ``inf``, ``-inf`` and
-    ``-0``. An integer or bool array is written as ``_fmt`` writes its values.
+    ``-0``. An array of any other dtype is written as ``_fmt`` writes its values.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype.kind not in "biu":
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
         for start in range(0, rows.shape[0], _CSV_BLOCK):
             yield _g17_block(rows[start:start + _CSV_BLOCK])
     else:
@@ -349,36 +354,14 @@ def _csv_rows(rows: Union[np.ndarray, Iterable[Sequence]]) -> Iterator[str]:
             yield ",".join(_fmt(v) for v in row) + "\n"
 
 
-def _write_csv(path: str, header: Sequence[str],
-               rows: Union[np.ndarray, Iterable[Sequence]]) -> None:
-    _write_text(path, itertools.chain([f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n"],
-                                      _csv_rows(rows)))
+def _csv(header: Sequence[str], rows: Union[np.ndarray, Iterable[Sequence]]) -> Iterator[str]:
+    """The text of a CSV data file: the schema line and header, then ``_csv_rows``."""
+    return itertools.chain([f"# schema={SCHEMA_VERSION}\n{','.join(header)}\n"], _csv_rows(rows))
 
 
-def _write_json(path: str, doc: dict) -> None:
-    doc = {"schema": SCHEMA_VERSION, **doc}
-    _write_text(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_manifest(out_path: str, command: str, entries: dict) -> None:
-    """Write ``<out_path>.manifest.json``: provenance, the digest of the data
-    file as it lies on disk, and the command's own ``entries``."""
-    _write_json(out_path + ".manifest.json", {
-        "tool": "rabi-spectra",
-        "version": __version__,
-        "command": command,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": {os.path.basename(out_path): _sha256(out_path)},
-        **entries,
-    })
+def _json(doc: dict) -> List[str]:
+    """The text of a JSON document, with the schema field."""
+    return [json.dumps({"schema": SCHEMA_VERSION, **doc}, indent=2, sort_keys=True) + "\n"]
 
 
 def _add_point_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -469,12 +452,17 @@ def _solve_summary(result: SpectralResult) -> dict:
             "converged": [bool(v) for v in result.converged]}
 
 
+# What a ``_cmd_*`` handler returns: its exit code, the text of its data file
+# and its own manifest entries.
+_Output = Tuple[int, Iterable[str], dict]
+
+
 def _check_rows(name: str, rows: int) -> None:
     if rows > MAX_ROWS:
         raise InvalidParam(name, f"asks for more than {MAX_ROWS} rows in one data file")
 
 
-def _cmd_spectrum(args) -> Tuple[int, dict]:
+def _cmd_spectrum(args) -> _Output:
     result, exit_code = _solve_or_partial(args)
     pairing = _pairing(result)
     records = _level_records(result)
@@ -484,7 +472,7 @@ def _cmd_spectrum(args) -> Tuple[int, dict]:
             # + 0.0 writes an exact zero as 0.0, whatever sign the solve left on it.
             r.update(index=i, coefficients={"c": (result.coeff_c[i] + 0.0).tolist(),
                                             "d": (result.coeff_d[i] + 0.0).tolist()})
-        _write_json(args.out, {
+        payload = _json({
             "params": asdict(result.params),
             "basis": asdict(result.basis),
             "n_final": result.n_final,
@@ -494,25 +482,24 @@ def _cmd_spectrum(args) -> Tuple[int, dict]:
         })
     else:
         rows = [(*r.values(), *_rwa_columns(p)) for r, p in zip(records, pairing)]
-        _write_csv(args.out, (*records[0], *_RWA_COLUMNS), rows)
-    return exit_code, _solve_summary(result)
+        payload = _csv((*records[0], *_RWA_COLUMNS), rows)
+    return exit_code, payload, _solve_summary(result)
 
 
-def _cmd_compare_rwa(args) -> Tuple[int, dict]:
+def _cmd_compare_rwa(args) -> _Output:
     result, exit_code = _solve_or_partial(args)
     pairing = _pairing(result)
     if args.format == "json":
-        _write_json(args.out, {"params": asdict(result.params),
-                               "rwa": _rwa_payload(pairing)})
+        payload = _json({"params": asdict(result.params), "rwa": _rwa_payload(pairing)})
     else:
-        _write_csv(args.out, _PAIRING_HEADER, [astuple(p) for p in pairing])
-    return exit_code, _solve_summary(result)
+        payload = _csv(_PAIRING_HEADER, [astuple(p) for p in pairing])
+    return exit_code, payload, _solve_summary(result)
 
 
 _SWEEP_HEADER = ("param", "level", "energy", "parity", *_RWA_COLUMNS)
 
 
-def _cmd_sweep(args) -> Tuple[int, dict]:
+def _cmd_sweep(args) -> _Output:
     if args.preset:
         for name, value in _PRESETS[args.preset].items():
             if getattr(args, name) is not None:
@@ -550,16 +537,15 @@ def _cmd_sweep(args) -> Tuple[int, dict]:
         for r, p in zip(_level_records(result), pairing):
             parity = r["parity"] if r["converged"] else None
             rows.append((value, r["level"], r["energy"], parity, *_rwa_columns(p)))
-    _write_csv(args.out, _SWEEP_HEADER, rows)
     if failures:
         print(f"warning: {len(failures)} sweep point(s) did not converge", file=sys.stderr)
-    return (3 if failures else 0), {
+    return (3 if failures else 0), _csv(_SWEEP_HEADER, rows), {
         "basis": asdict(basis), "failed_points": failures,
         "sweep": {"param": args.param, "from": args.start, "to": args.stop, "steps": args.steps,
                   "fixed": fixed}}
 
 
-def _cmd_converge(args) -> Tuple[int, dict]:
+def _cmd_converge(args) -> _Output:
     params = _params_from_args(args)
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
@@ -567,15 +553,14 @@ def _cmd_converge(args) -> Tuple[int, dict]:
         raise InvalidParam("n_list", str(exc)) from exc
     # truncation_table rejects the list and the level count before any solve.
     rows = truncation_table(params, n_list, args.levels)
-    _write_csv(args.out, tuple(rows[0]), [r.values() for r in rows])
     reach = _reach(params, args.levels)
     below = [n for n in n_list if n < reach]
     if below:
         print(f"warning: truncation(s) {', '.join(map(str, below))} lie below (eta + "
               f"sqrt(levels))^2 = {reach:.6g}, where tails and drifts cannot show "
               "the missing states", file=sys.stderr)
-    return 0, {"params": asdict(params), "n_list": n_list, "levels": args.levels,
-               "below_reach": below}
+    return 0, _csv(tuple(rows[0]), [r.values() for r in rows]), {
+        "params": asdict(params), "n_list": n_list, "levels": args.levels, "below_reach": below}
 
 
 def _real_amps(state) -> dict:
@@ -584,12 +569,12 @@ def _real_amps(state) -> dict:
             "g": state.amps[:, 1].real.tolist()}
 
 
-def _cmd_cat(args) -> Tuple[int, dict]:
+def _cmd_cat(args) -> _Output:
     result, exit_code = _solve_or_partial(args)
     ground = _initial_state("ground", result).fixed_phase()
     had = hadamard_on_spin(ground).fixed_phase()
     cat = _initial_state("cat", result).fixed_phase()
-    _write_json(args.out, {
+    payload = _json({
         "params": asdict(result.params),
         "n": result.n_final,
         "fidelity": fidelity(had, cat),
@@ -598,7 +583,7 @@ def _cmd_cat(args) -> Tuple[int, dict]:
         "hadamard_ground": _real_amps(had),
         "ideal_cat": _real_amps(cat),
     })
-    return exit_code, _solve_summary(result)
+    return exit_code, payload, _solve_summary(result)
 
 
 def _initial_state(spec: str, result: SpectralResult):
@@ -623,7 +608,7 @@ def _initial_state(spec: str, result: SpectralResult):
     raise InvalidParam("initial", f"unknown initial state '{spec}'")
 
 
-def _cmd_evolve(args) -> Tuple[int, dict]:
+def _cmd_evolve(args) -> _Output:
     params = _params_from_args(args)
     basis = _basis_from_args(args)
     for name, value in (("t_max", args.t_max), ("dt", args.dt)):
@@ -636,9 +621,8 @@ def _cmd_evolve(args) -> Tuple[int, dict]:
     result = solve_spectrum(params, basis)
     initial = _initial_state(args.initial, result)
     table = propagate_observables(initial, result, np.arange(steps + 1) * args.dt)
-    _write_csv(args.out, ("t", "norm", "energy", "sigma_z", "sigma_x", "n"), table)
-    return 0, {**_solve_summary(result), "initial": args.initial, "t_max": args.t_max,
-               "dt": args.dt}
+    return 0, _csv(("t", "norm", "energy", "sigma_z", "sigma_x", "n"), table), {
+        **_solve_summary(result), "initial": args.initial, "t_max": args.t_max, "dt": args.dt}
 
 
 @functools.cache
@@ -705,12 +689,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = " ".join(argv if argv is not None else sys.argv[1:])
+    args = _build_parser().parse_args(argv)
+    command = shlex.join(sys.argv[1:] if argv is None else argv)
     try:
-        exit_code, entries = args.func(args)
-        _write_manifest(args.out, command, entries)
+        exit_code, payload, entries = args.func(args)
+        digest = _write_text(args.out, payload)
+        try:
+            _write_text(args.out + ".manifest.json", _json({
+                "tool": "rabi-spectra",
+                "version": __version__,
+                "command": command,
+                "created_utc": datetime.now(timezone.utc).isoformat(),
+                "outputs": {os.path.basename(args.out): digest},
+                **entries,
+            }))
+        except BaseException:
+            # A data file without its manifest is not a result.
+            os.remove(args.out)
+            raise
         return exit_code
     except IncompleteBasis as exc:
         print(f"error: {exc}", file=sys.stderr)

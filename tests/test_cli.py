@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import tempfile
 from dataclasses import fields
 from unittest import mock
@@ -385,10 +386,12 @@ class TestWriteCsv:
 
     def _both(self, tmp_path, table):
         fast, slow = str(tmp_path / "array.csv"), str(tmp_path / "rows.csv")
-        cli._write_csv(fast, self.HEADER, table)
-        cli._write_csv(slow, self.HEADER, table.tolist())
+        digest = cli._write_text(fast, cli._csv(self.HEADER, table))
+        assert digest == hashlib.sha256(read_bytes(fast)).hexdigest()
+        assert cli._write_text(slow, cli._csv(self.HEADER, table.tolist())) == digest
         assert read_bytes(fast) == read_bytes(slow)
-        cli._write_csv(slow, self.HEADER, list(table))  # np.float64 values
+        # np.float64 values
+        assert cli._write_text(slow, cli._csv(self.HEADER, list(table))) == digest
         assert read_bytes(fast) == read_bytes(slow)
         return read_bytes(fast)
 
@@ -410,10 +413,18 @@ class TestWriteCsv:
 
     def test_error_after_first_block_leaves_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
-        table = np.zeros((10, 6), dtype=object)
-        table[4, 2] = "not a float"  # fails to format in the second block
-        with pytest.raises(TypeError):
-            cli._write_csv(str(tmp_path / "evolve.csv"), self.HEADER, table)
+        render, blocks = cli._g17_block, []
+
+        def fail_second_block(block):
+            blocks.append(block)
+            if len(blocks) == 2:
+                raise ValueError("second block")
+            return render(block)
+
+        monkeypatch.setattr(cli, "_g17_block", fail_second_block)
+        with pytest.raises(ValueError, match="second block"):
+            cli._write_text(str(tmp_path / "evolve.csv"), cli._csv(self.HEADER, np.zeros((10, 6))))
+        assert len(blocks) == 2
         assert os.listdir(tmp_path) == []
 
     @staticmethod
@@ -595,6 +606,13 @@ class TestManifest:
         assert run(argv) == 0
         manifest = self.manifest_of(tmp_path, argv[-1])
         assert manifest["command"] == " ".join(argv)
+
+    def test_command_reruns(self, tmp_path):
+        # The spin of a Fock state may follow a space; the command quotes it.
+        argv = ["evolve", *POINT, "--t-max", "1", "--dt", "0.1", "--initial", "fock:0, g",
+                "--out", str(tmp_path / "ev.csv")]
+        assert run(argv) == 0
+        assert shlex.split(self.manifest_of(tmp_path, argv[-1])["command"]) == argv
 
     def test_partial_spectrum_keeps_both_files(self, tmp_path):
         out = str(tmp_path / "partial.csv")
@@ -805,6 +823,15 @@ class TestExitContract:
                               "--n-list", "100000", "--out", str(tmp_path / "cv.csv")],
                              tmp_path, capsys)
 
+    def test_unwritable_manifest_leaves_nothing(self, tmp_path, capsys):
+        # The data file's temp name just fits in a directory entry; the manifest's does not.
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        name = "a" * (name_max - len(f".{os.getpid()}.tmp") - len(".csv")) + ".csv"
+        assert len(f"{name}.{os.getpid()}.tmp") == name_max < len(name + ".manifest.json")
+        err = self.assert_rejected(["spectrum", *POINT, "--out", str(tmp_path / name)],
+                                   tmp_path, capsys)
+        assert ".manifest.json'" in err
+
     @pytest.mark.parametrize("failure", [OSError(28, "No space left on device"),
                                          KeyboardInterrupt()])
     def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch, failure):
@@ -819,6 +846,21 @@ class TestExitContract:
         else:
             with pytest.raises(KeyboardInterrupt):
                 run(argv)
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupted_manifest_leaves_nothing(self, tmp_path, monkeypatch):
+        # The data file is in place when the manifest's rename is interrupted.
+        replace = os.replace
+
+        def interrupt_manifest(src, dst):
+            if dst.endswith(".manifest.json"):
+                assert sorted(os.listdir(tmp_path)) == ["spec.csv", os.path.basename(src)]
+                raise KeyboardInterrupt
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interrupt_manifest)
+        with pytest.raises(KeyboardInterrupt):
+            run(["spectrum", *POINT, "--out", str(tmp_path / "spec.csv")])
         assert os.listdir(tmp_path) == []
 
     @settings(max_examples=100)

@@ -18,22 +18,8 @@ then the manifest with that digest. A handler that raises leaves no file, and
 a failed write of either file leaves neither.
 
 Exit codes: 0 success, 2 invalid flags or parameters, 3 convergence
-failure (partial results are still written, flagged; evolve writes no data
-file or manifest), 4 initial state outside the converged span (evolve).
-Exit 2 includes an unwritable ``--out``; ``converge`` errors naming ``n_list``
-(empty, not increasing, or a truncation below 1) or ``levels`` (below 1, or
-more than the smallest truncation holds); a truncation or level count above
-``model.MAX_TRUNCATION`` (``--n-max-hard``, a ``converge`` truncation or
-``--levels``); a ``--tail-tol`` or ``--drift-tol`` that is not finite and > 0;
-and a request for more than ``MAX_ROWS`` rows in one data file (``evolve``
-time steps, ``sweep`` steps x levels). ``sweep --preset`` sets ``--param``,
-``--from``, ``--to``, ``--steps`` and the fixed point; giving any of these with
-it, or a fixed value for the swept parameter, is exit 2 naming that flag, and
-a ``--from``/``--to`` that is not finite, or whose difference is not, is exit
-2 naming ``start`` or ``stop``. All are checked before any solve. Exit 2 also
-ends a solve whose eigendecomposition fails its residual certificate
-(``NoConvergence``), and an ``evolve`` whose largest phase max|E|·t_max
-overflows a float, checked after the solve; no file is written then either.
+failure, 4 initial state outside the converged span (evolve); the README
+lists the cases of each.
 """
 
 from __future__ import annotations
@@ -123,6 +109,10 @@ def _write_text(path: str, chunks: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
+# 10**0 .. 10**22, every power of ten that is a double.
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+
 def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Dekker's split of each double into two halves of at most 26 significant bits."""
     c = 134217729.0 * a  # 2**27 + 1
@@ -130,10 +120,9 @@ def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _two_product(a, b, a_parts, b_parts):
-    """Dekker's two-product: p = fl(a * b) and p + e == a * b exactly; ``*_parts`` are the
-    ``_split`` of each factor."""
-    (a_hi, a_lo), (b_hi, b_lo) = a_parts, b_parts
+def _two_product(a, b):
+    """Dekker's two-product: p = fl(a * b) and p + e == a * b exactly."""
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
     p = a * b
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
@@ -172,28 +161,21 @@ def _significands(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     can the rounding carry to 10**17 (as at 1e-14); it is written as
     N = 10**16 with X + 1.
     """
-    pow10 = np.array([float(10 ** k) for k in range(23)])
     small = np.flatnonzero(a <= 1e-6)
     big = np.where(a > 1e-6, a, 1.0) if small.size else a
-    parts = _split(big)
     # log10 is off by at most one next to a power of ten.
     X = np.minimum(np.maximum(np.floor(np.log10(big)), -6), 16).astype(np.intp)
-
-    def scaled(X):
-        b = pow10.take(16 - X)
-        return _two_product(big, b, parts, _split(b))
-
-    X, (p, e) = _fit_exponent(scaled, X)
+    X, (p, e) = _fit_exponent(lambda X: _two_product(big, _POW10.take(16 - X)), X)
     # p >= 1e16 > 2**53 is an even integer, so rint(e) rounds the sum half-even.
     # No carry to 10**17: below each power of ten that bounds the range, the
     # largest double's product lies more than 4 below 10**17.
     N = (p.astype(np.int64) + np.rint(e).astype(np.int64)).view(np.uint64)
     if small.size:
-        N[small], X[small] = _small_significands(a[small], pow10)
+        N[small], X[small] = _small_significands(a[small])
     return N, X
 
 
-def _small_significands(a: np.ndarray, pow10: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _small_significands(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``_significands`` of each 1e-28 < a <= 1e-6, where 10**(16 - X) is not a double.
 
     a * 10**22 = p1 + e1 exactly, and each part times the exact 10**(-6 - X) is
@@ -208,14 +190,12 @@ def _small_significands(a: np.ndarray, pow10: np.ndarray) -> Tuple[np.ndarray, n
     occur at X = -7 and -8 (as 3 * 2**-24), and a carry to 10**17 (as at
     1e-14) is written N = 10**16 with X + 1.
     """
-    p1, e1 = _two_product(a, 1e22, _split(a), _split(1e22))
-    p1_parts, e1_parts = _split(p1), _split(e1)
+    p1, e1 = _two_product(a, 1e22)
 
     def scaled(X):
-        b = pow10.take(-6 - X)
-        b_parts = _split(b)
-        p, e = _two_product(p1, b, p1_parts, b_parts)
-        q, f = _two_product(e1, b, e1_parts, b_parts)
+        b = _POW10.take(-6 - X)
+        p, e = _two_product(p1, b)
+        q, f = _two_product(e1, b)
         s, t = _two_sum(e, q)
         P, u = _two_sum(p, s)
         c, d = _two_sum(t, f)
@@ -694,8 +674,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         exit_code, payload, entries = args.func(args)
         digest = _write_text(args.out, payload)
+        manifest = args.out + ".manifest.json"
         try:
-            _write_text(args.out + ".manifest.json", _json({
+            _write_text(manifest, _json({
                 "tool": "rabi-spectra",
                 "version": __version__,
                 "command": command,
@@ -704,8 +685,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 **entries,
             }))
         except BaseException:
-            # A data file without its manifest is not a result.
+            # A data file without its manifest is not a result, and an earlier run's
+            # manifest would name a data file that is gone.
             os.remove(args.out)
+            if os.path.exists(manifest):
+                os.remove(manifest)
             raise
         return exit_code
     except IncompleteBasis as exc:

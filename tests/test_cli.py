@@ -464,7 +464,9 @@ class TestWriteCsv:
                  *[m * 2.0 ** -24 for m in range(3, 16, 2)], 2.0 ** -25, 3 * 2.0 ** -25,
                  # Less than 2**-54 from a tie: the remainder's leading double is an exact
                  # half, and only its low part says which way to round.
-                 4.974148370910348e-09, 9.895086944612226e-10, 6.83280278535067e-11]
+                 4.974148370910348e-09, 9.895086944612226e-10, 6.83280278535067e-11,
+                 # Zero, 1e300 and the subnormal 1e-320, which take %; a half; 2e-18, below 1e-6.
+                 0.0, 1e300, 1e-320, 0.5, 2e-18]
         # The powers include 1e-28, where the exact path ends, and 1e-14, whose
         # significand carries to 10**17.
         for exponent in range(-30, 21):
@@ -481,10 +483,11 @@ class TestWriteCsv:
 
 
 class TestEvolve:
-    def test_ground_is_stationary(self, tmp_path):
+    @pytest.mark.parametrize("initial", ["cat", "ground", "fock:0,g"])
+    def test_norm_and_energy_conserved(self, tmp_path, initial):
         out = str(tmp_path / "ev.csv")
         code = run(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",
-                    "--t-max", "10", "--dt", "0.1", "--initial", "ground",
+                    "--t-max", "10", "--dt", "0.1", "--initial", initial,
                     "--out", out])
         assert code == 0
         header, rows = read_csv(out)
@@ -560,6 +563,9 @@ class TestEvolve:
         step = float(dt)
         assert len(rows) == round(100 / step) + 1
         assert [r[0] for r in rows] == [f"{i * step:.17g}" for i in range(len(rows))]
+        # The sigma_z column holds rounding noise of 1e-21 .. 1e-16 around the parity zero,
+        # which takes the renderer's path below 1e-6.
+        assert [f for r in rows for f in r] == ["%.17g" % float(f) for r in rows for f in r]
 
     def test_no_times_writes_header_only(self, tmp_path, monkeypatch):
         propagate = cli.propagate_observables
@@ -758,9 +764,14 @@ class TestExitContract:
         (["--param", "eta", "--from", "0", "--to", "1", "--steps", "2",
           "--omega", "1", "--delta", "0", "--eta", "0.5"], "eta"),
         (["--preset", "fig2", "--eta", "0.5"], "eta"),
-    ], ids=["preset-and-point", "preset-and-param", "fixed-swept-param", "preset-and-swept-param"])
+        (["--from", "0", "--to", "1", "--steps", "2", "--omega", "1", "--delta", "0"], "param"),
+        (["--param", "eta", "--from", "0", "--to", "1", "--steps", "0",
+          "--omega", "1", "--delta", "0"], "steps"),
+    ], ids=["preset-and-point", "preset-and-param", "fixed-swept-param", "preset-and-swept-param",
+            "no-param-or-preset", "zero-steps"])
     def test_sweep_flag_set_twice(self, tmp_path, capsys, flags, field):
-        # A preset's flags and the swept parameter take no second value.
+        # A preset's flags and the swept parameter take no second value; without a preset
+        # the sweep needs --param, and --steps of at least 1.
         err = self.assert_rejected(["sweep", *flags, "--out", str(tmp_path / "sw.csv")],
                                    tmp_path, capsys)
         assert err.startswith(f"error: invalid parameter '{field}'")
@@ -848,19 +859,31 @@ class TestExitContract:
                 run(argv)
         assert os.listdir(tmp_path) == []
 
-    def test_interrupted_manifest_leaves_nothing(self, tmp_path, monkeypatch):
-        # The data file is in place when the manifest's rename is interrupted.
+    @pytest.mark.parametrize("failure", [KeyboardInterrupt(),
+                                         OSError(28, "No space left on device")],
+                             ids=["interrupt", "no-space"])
+    @pytest.mark.parametrize("earlier", [False, True], ids=["first-run", "re-run"])
+    def test_interrupted_manifest_leaves_nothing(self, tmp_path, monkeypatch, earlier, failure):
+        # The data file is in place when the manifest's rename fails. On a re-run the
+        # earlier manifest, whose digest names the data file just removed, goes too.
+        argv = ["spectrum", *POINT, "--out", str(tmp_path / "spec.csv")]
+        if earlier:
+            assert run(argv) == 0
         replace = os.replace
 
-        def interrupt_manifest(src, dst):
+        def fail_manifest(src, dst):
             if dst.endswith(".manifest.json"):
-                assert sorted(os.listdir(tmp_path)) == ["spec.csv", os.path.basename(src)]
-                raise KeyboardInterrupt
+                assert sorted(os.listdir(tmp_path)) == sorted(
+                    ["spec.csv", os.path.basename(src)] + earlier * ["spec.csv.manifest.json"])
+                raise failure
             replace(src, dst)
 
-        monkeypatch.setattr(os, "replace", interrupt_manifest)
-        with pytest.raises(KeyboardInterrupt):
-            run(["spectrum", *POINT, "--out", str(tmp_path / "spec.csv")])
+        monkeypatch.setattr(os, "replace", fail_manifest)
+        if isinstance(failure, OSError):
+            assert run(argv) == 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
         assert os.listdir(tmp_path) == []
 
     @settings(max_examples=100)

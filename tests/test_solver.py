@@ -91,9 +91,15 @@ class TestEighSymmetric:
         with pytest.raises(NoConvergence, match="residual inf"):
             solve_spectrum(params_of(omega, 0.2, delta))
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            eigh_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @pytest.mark.parametrize("a, message", [
+        ([[0.0, 1.0], [0.0, 0.0]], "symmetric"),
+        ([1.0, 2.0], "square"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "square"),
+        (np.empty((0, 0)), "square"),
+    ], ids=["asymmetric", "one-dimensional", "non-square", "empty"])
+    def test_rejects_non_square_or_asymmetric(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            eigh_symmetric(np.array(a))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -435,6 +441,12 @@ class TestClassifyLevels:
         for row in rows[1:]:
             assert abs(row.gap) < 0.05
             assert row.agrees
+
+    def test_short_rwa_list_rejected(self, solve):
+        # Ten levels pair with labels up to E+_4; doublets 0 and 1 end at E+_1.
+        result = solve(1.0, 0.2, 0.0)
+        with pytest.raises(ValueError, match="missing E-_2"):
+            classify_levels(result, rwa_spectrum(result.params, 1))
 
     def test_ground_gap_negative(self, solve):
         result = solve(1.0, 0.2, 0.0)

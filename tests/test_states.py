@@ -60,9 +60,14 @@ class TestQuantumState:
         state = QuantumState(amps, Frame.WORKING)
         assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-15)
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            QuantumState(np.zeros((4, 2), dtype=complex), Frame.WORKING)
+    @pytest.mark.parametrize("amps, message", [
+        (np.zeros((4, 2), dtype=complex), "nonzero"),
+        (np.ones((4, 3)), "shape"),
+        (np.ones(4), "shape"),
+    ], ids=["zero", "three-columns", "one-dimensional"])
+    def test_zero_or_misshapen_amps_rejected(self, amps, message):
+        with pytest.raises(ValueError, match=message):
+            QuantumState(amps, Frame.WORKING)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_amplitudes_rejected(self, bad):
@@ -130,9 +135,13 @@ class TestEigvecToBare:
         with pytest.raises(NormLoss):
             eigvec_to_bare(np.array([math.nan, 0.0, 0.0]), np.zeros(3), 0.1)
 
-    def test_infinite_coefficient_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            eigvec_to_bare(np.array([math.inf, 0.0, 0.0]), np.zeros(3), 0.1)
+    @pytest.mark.parametrize("c, d, message", [
+        ([math.inf, 0.0, 0.0], [0.0, 0.0, 0.0], "finite"),
+        ([1.0, 0.0, 0.0], [0.0, 0.0], "equal-length"),
+    ], ids=["infinite", "unequal-lengths"])
+    def test_bad_coefficients_rejected(self, c, d, message):
+        with pytest.raises(ValueError, match=message):
+            eigvec_to_bare(np.array(c), np.array(d), 0.1)
 
     def test_norm_floor_is_on_probability(self):
         # Row 0 of D(0.56) at n = 5 keeps probability 1 - 1.01e-6, just under
@@ -288,9 +297,12 @@ class TestEvolve:
         with pytest.raises(IncompleteBasis):
             evolve(top, result, 1.0)
 
-    def test_frame_required(self, solve):
+    @pytest.mark.parametrize("frame, extra", [(Frame.LAB, 0), (Frame.WORKING, -1)],
+                             ids=["lab-frame", "other-truncation"])
+    def test_frame_required(self, solve, frame, extra):
+        # The state must be in the working frame and at the solver's truncation.
         result = solve(1.0, 0.2, 0.0)
-        wrong = basis_state(0, "g", result.n_final, frame=Frame.LAB)
+        wrong = basis_state(0, "g", result.n_final + extra, frame=frame)
         with pytest.raises(FrameMismatch):
             evolve(wrong, result, 1.0)
 
@@ -442,9 +454,9 @@ class TestPropagateBlocks:
                                        # A bool among floats, which numpy would promote to 1.0.
                                        [True, 0.5], (t for t in (0.5, True)),
                                        # Ragged: numpy would raise its own ValueError.
-                                       [[0.0], 1.0]],
+                                       [[0.0], 1.0], np.zeros((2, 2))],
                              ids=["list", "array", "generator", "bool-in-list",
-                                  "bool-in-generator", "ragged"])
+                                  "bool-in-generator", "ragged", "2-d-array"])
     def test_non_finite_time_rejected(self, solve, times):
         result = solve(1.0, 0.2, 0.0)
         state = basis_state(0, "g", result.n_final)
@@ -565,12 +577,16 @@ class TestFrameTransforms:
         back = intermediate_to_working(working_to_intermediate(state))
         assert np.max(np.abs(back.amps - state.amps)) < 1e-15
 
-    def test_frame_tags_enforced(self):
-        state = basis_state(0, "g", 5, frame=Frame.WORKING)
+    @pytest.mark.parametrize("transform, frame", [
+        (lambda s: lab_to_intermediate(s, 0.2), Frame.WORKING),
+        (lambda s: intermediate_to_lab(s, 0.2), Frame.WORKING),
+        (intermediate_to_working, Frame.WORKING),
+        (working_to_intermediate, Frame.INTERMEDIATE),
+    ], ids=["lab-to-intermediate", "intermediate-to-lab", "intermediate-to-working",
+            "working-to-intermediate"])
+    def test_frame_tags_enforced(self, transform, frame):
         with pytest.raises(FrameMismatch):
-            lab_to_intermediate(state, 0.2)
-        with pytest.raises(FrameMismatch):
-            intermediate_to_working(state)
+            transform(basis_state(0, "g", 5, frame=frame))
 
     def test_energy_preserved_across_u(self):
         # expectation of the lab Hamiltonian equals that of the rotated

@@ -89,12 +89,18 @@ def _certified_eigh(a: np.ndarray, kind: str) -> EigenDecomposition:
         raise ValueError(f"matrix must be exactly {kind}")
     eigenvalues, vectors = np.linalg.eigh(a)
     # Rotate each column so its largest-magnitude component is real positive;
-    # for real input this is a sign flip.
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(a.shape[0])]
-    vectors = vectors * (np.abs(pivots) / pivots)
+    # for real input this is a sign flip. One matrix-sized temporary at a time
+    # (128 MB at n = 2000): |V| laid out by column, so argmax copies nothing,
+    # then A V − V Λ squared in place, the operations of np.linalg.norm.
+    pivots = vectors[np.argmax(np.abs(vectors.T, order="C"), axis=1), np.arange(a.shape[0])]
+    vectors *= np.abs(pivots) / pivots
     # An entry near the float limit overflows the norm to inf, which fails the bound.
     with np.errstate(over="ignore"):
-        residual = float(np.max(np.linalg.norm(a @ vectors - vectors * eigenvalues, axis=0)))
+        r = a @ vectors
+        for i in range(0, len(r), 16):
+            r[i:i + 16] -= vectors[i:i + 16] * eigenvalues
+        np.multiply(r.conj(), r, out=r)
+        residual = float(np.sqrt(np.max(np.add.reduce(r.real, axis=0))))
     bound = 1e-9 * (1.0 + float(np.max(np.abs(eigenvalues))))
     if not residual <= bound:
         raise NoConvergence(f"residual {residual:.3e} exceeds certified bound {bound:.3e}")
@@ -179,7 +185,7 @@ class _Step:
     drifts: np.ndarray
 
 
-def _solve_at(params: ModelParams, n: int, k: int, prev: Optional[_Step]) -> _Step:
+def _solve_at(params: ModelParams, n: int, k: int, prev: Optional[np.ndarray]) -> _Step:
     h = build_displaced_hamiltonian(params, n)
     dim = n + 1
     if params.delta != 0.0:
@@ -190,20 +196,26 @@ def _solve_at(params: ModelParams, n: int, k: int, prev: Optional[_Step]) -> _St
         # parity +1 first.
         s = (-1.0) ** np.arange(dim)
         sectors = [eigh_symmetric(h[:dim, :dim] + p * h[:dim, dim:] * s) for p in (1.0, -1.0)]
+        del h
         labels = np.repeat([1.0, -1.0], dim)
         values = np.concatenate([sec.eigenvalues for sec in sectors])
-        v = np.hstack([sec.eigenvectors for sec in sectors])
         order = np.lexsort((-labels, values))
-        dec = EigenDecomposition(values[order],
-                                 (np.vstack([v, labels * s[:, None] * v]) / np.sqrt(2.0))[:, order],
-                                 max(sec.residual_norm for sec in sectors))
+        residual = max(sec.residual_norm for sec in sectors)
+        v = np.hstack([sec.eigenvectors for sec in sectors])
+        del sectors
+        # (v, p·s·v)/√2 in one F-ordered matrix; the signs p·s are exact.
+        vectors = np.empty((2 * dim, 2 * dim), order="F")
+        np.divide(v[:, order], np.sqrt(2.0), out=vectors[:dim])
+        del v
+        np.multiply(vectors[:dim], labels[order] * s[:, None], out=vectors[dim:])
+        dec = EigenDecomposition(values[order], vectors, residual)
         parities = labels[order][:k]
     c = dec.eigenvectors[:dim, :k].T.copy()
     d = dec.eigenvectors[dim:, :k].T.copy()
     window = min(_TAIL_WINDOW, dim)
     tails = np.sum(c[:, dim - window:] ** 2, axis=1) + np.sum(d[:, dim - window:] ** 2, axis=1)
     energies = dec.eigenvalues[:k].copy()
-    drifts = np.full(k, np.inf) if prev is None else np.abs(energies - prev.energies)
+    drifts = np.full(k, np.inf) if prev is None else np.abs(energies - prev)
     return _Step(n, dec, energies, c, d, tails, parities, drifts)
 
 
@@ -227,14 +239,18 @@ def _walk(params: ModelParams, n_list: Sequence[int], k: int,
     slot of ``overlap._table``; every step up to ``n_table`` then reads a
     leading block of that one table, bitwise the table a build at its own
     size gives.
+
+    It keeps only the previous energies, and drops each step before the next.
     """
     if n_table is None:
         n_table = n_list[min(1, len(n_list) - 1)]
     _overlap._table(2.0 * params.g, n_table)
-    step = None
+    energies = None
     for n in n_list:
-        step = _solve_at(params, n, k, step)
+        step = _solve_at(params, n, k, energies)
+        energies = step.energies
         yield step
+        del step
 
 
 def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> SpectralResult:
@@ -246,6 +262,8 @@ def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> Sp
     The walk skips the grid points below (η + √k)², k = ``levels_requested``,
     which cannot hold the levels; if none is that large it visits
     ``n_max_hard`` alone. ``trace`` lists the truncations visited.
+
+    Each step but the last is dropped before the next is solved.
     """
     basis = basis if basis is not None else BasisSpec()
     trace: List[Tuple[int, np.ndarray]] = []
@@ -255,8 +273,9 @@ def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> Sp
     for step in _walk(params, n_list, basis.levels_requested):
         trace.append((step.n, step.energies))
         converged = (step.tail_weights <= basis.tail_tol) & (step.drifts <= basis.drift_tol)
-        if np.all(converged):
+        if np.all(converged) or step.n == n_list[-1]:
             break
+        del step
     result = SpectralResult(
         params=params, basis=basis, n_final=step.n, energies=step.energies,
         coeff_c=step.coeff_c, coeff_d=step.coeff_d, tail_weights=step.tail_weights,
@@ -287,11 +306,14 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
     _check_index("levels", levels, low=1)
     if levels > 2 * (min(n_list) + 1):
         raise InvalidParam("levels", "exceeds the smallest problem dimension")
-    return [{"n": step.n, "level": i, "energy": float(step.energies[i]),
-             "tail_weight": float(step.tail_weights[i]),
-             "drift": None if step.n == n_list[0] else step.drifts[i]}
-            for step in _walk(params, n_list, levels, n_table=n_list[-1])
-            for i in range(levels)]
+    rows = []
+    for step in _walk(params, n_list, levels, n_table=n_list[-1]):
+        rows += [{"n": step.n, "level": i, "energy": float(step.energies[i]),
+                  "tail_weight": float(step.tail_weights[i]),
+                  "drift": None if step.n == n_list[0] else step.drifts[i]}
+                 for i in range(levels)]
+        del step
+    return rows
 
 
 def parity_expectation(c: np.ndarray, d: np.ndarray, params: ModelParams) -> float:

@@ -276,16 +276,20 @@ class TestDisplacementMatrix:
         mat = displacement_matrix(beta, 30)
         assert np.max(np.abs(mat - oracle[:31, :31])) < 1e-10
 
-    @pytest.mark.parametrize("beta, n", [(1e5, 40), (40j, 400)])
+    @pytest.mark.parametrize("beta, n", [(1e5, 40), (40j, 400), (0.2, 1100)])
     def test_overflow_raises_without_warning(self, beta, n):
-        # Far outside the tested domain the kernel's entries turn to nan;
-        # the table must say so, and not through a numpy warning. A failed
-        # table is never kept, so every call raises.
+        # Outside the finite domain the kernel's entries turn to nan; the
+        # table must say so, and not through a numpy warning. At small β
+        # the cause is n: (0.2, 1019) is finite. The message names n and the
+        # limits the module docstring states. A failed table is never kept,
+        # so every call raises.
         kept = overlap._slot
+        message = (rf"at n={n} is not representable: .*\(from n = 1020 at small "
+                   r"\|beta\|; tested to n = 1650 at \|beta\| = 36\)")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(2):
-                with pytest.raises(OverflowError):
+                with pytest.raises(OverflowError, match=message):
                     displacement_matrix(beta, n)
         assert overlap._slot is kept
 

@@ -224,12 +224,17 @@ def _digits8(v: np.ndarray) -> np.ndarray:
     return y | (x - y * 10) << 8
 
 
-_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ZEROS = 0x3030303030303030  # eight ASCII '0'
 # At X + 28, the bytes "e-05" .. "e-28" of each exponent X = -5 .. -28 that
 # exponent form below 1e-4 writes; 0 for the others.
 _EXPONENTS = np.array([0x2D65 | (0x3030 | k // 10 | k % 10 << 8) << 16 if k > 4 else 0
                        for k in range(28, -17, -1)], np.uint64)
+# At X + 4, bytes 0-5 of the row for X = -4 .. -1: NUL, then "0.000" .. "0."; 0 at X = 0.
+_PREFIXES = np.array([int.from_bytes(b"\0" + b"0." + b"0" * k, "little") for k in range(3, -1, -1)]
+                     + [0], np.uint64)
+# _BELOW[i, k]: the bytes of word i that come before byte k of the row.
+_BELOW = np.array([[(1 << 8 * min(max(k - 8 * i, 0), 8)) - 1 for k in range(26)]
+                   for i in range(3)], np.uint64)
 
 
 def _g17_block(block: np.ndarray) -> str:
@@ -240,11 +245,14 @@ def _g17_block(block: np.ndarray) -> str:
     with 1e-28 < |x| < 1e17 (every double of at least 10**-28: the double
     nearest 1e-28 lies below it) gets its 17-digit significand from
     ``_significands``, which carries a significand that rounds to 10**17 into
-    the next exponent, and its digits from ``_digits8``; trailing zeros are
-    dropped. Its text (sign, leading zeros, digits with the point, exponent
-    ``e-05`` .. ``e-28`` below 1e-4, separator) is assembled in a row of four
-    uint64 words by byte shifts and masks, and every row is left-aligned with
-    NUL padding, which one boolean selection removes from the block.
+    the next exponent, and its digits from ``_digits8``. Its text goes into
+    fixed bytes of a 32-byte row of four uint64 words: the sign at byte 0,
+    the ``0.`` .. ``0.000`` of 1e-4 <= |x| < 1 at bytes 1-5, the 17 digits at
+    bytes 6-22, and the exponent ``e-05`` .. ``e-28`` below 1e-4 and the
+    separator at bytes 24-28. A point is shifted in after the integer digits
+    (after the first digit in exponent form) when a significant digit follows,
+    trailing zeros past the integer digits are masked off, and one boolean
+    selection of the block removes every NUL between the parts.
     Zeros, nan, inf and the magnitudes outside that range take one batched
     ``%`` format per block.
     """
@@ -264,44 +272,31 @@ def _g17_block(block: np.ndarray) -> str:
     kept = (np.frexp(digits.astype(np.float64))[1] + 7) >> 3
     d = 1 + np.where(halves[1] != 0, 8 + kept[1], kept[0])
     hi, lo = digits | _ZEROS
+    # The first three words: sign and prefix at bytes 0-5, then the 17 digits.
+    words = (np.signbit(x) * np.uint64(ord("-"))
+             | _PREFIXES.take(np.where((X < 0) & (X >= -4), X + 4, 4))
+             | (first + ord("0")) << 48 | hi << 56,
+             hi >> 8 | lo << 56,
+             lo >> 8)
 
-    neg = np.signbit(x)
-    # z '0's go before the first digit for 1e-4 <= |x| < 1 (X = -1 .. -4).
-    z = np.where((X < 0) & (X >= -4), -X, 0)
-    # The point goes at byte Q; the text before the exponent and separator has L bytes.
-    Q = np.where(X >= 0, X + 1, 1) + neg
-    L = np.where(d + z + neg > Q, d + z + neg + 1, Q)
-    negu = neg.astype(np.uint64)
-    shift = ((neg + z) << 3).astype(np.uint64)
-    fill = negu * ord("-") | (_ZEROS << (negu << np.uint64(3))) & ~(_ALL << shift)
-    at = shift + np.uint64(8)
-    words = (fill | (first + ord("0")) << shift | hi << at,
-             hi >> (np.uint64(64) - at) | lo << at,
-             lo >> (np.uint64(64) - at))
-    # below[i, k]: the bytes of word i that come before byte k of the row.
-    half_shift = (np.clip(np.arange(24) - 8 * np.arange(3)[:, None], 0, 8) * 4).astype(np.uint64)
-    below = ~((_ALL << half_shift) << half_shift)
+    # The point goes before byte Q when a significant digit follows it; byte 24
+    # moves nothing. The text before the exponent keeps its first L bytes.
+    Q = np.where(X >= 0, X + 7, np.where(X < -4, 7, 24))
+    Q = np.where(d > Q - 6, Q, 24)
+    L = 6 + np.maximum(d, X + 1) + (Q < 24)
+    buf = np.zeros((x.size, 4), np.uint64)
+    carry = 0
+    for i, u in enumerate(words):
+        m = _BELOW[i].take(Q)
+        moved = u & ~m
+        w = u & m | (_BELOW[i].take(Q + 1) ^ m) & 0x2E2E2E2E2E2E2E2E | moved << 8 | carry
+        buf[:, i] = w & _BELOW[i].take(L)
+        carry = moved >> 56
 
     sep = np.full((rows, cols), ord(","), np.uint64)
     sep[:, -1] = ord("\n")
     sep = sep.ravel()
-    tail = np.where(X < -4, _EXPONENTS.take(X + 28) | sep << 32, sep)
-    bits = ((L & 7) << 3).astype(np.uint64)
-    spill = (tail >> 8) >> (np.uint64(56) - bits)  # the part of the tail in the next word
-    tail <<= bits
-    tail_word = L >> 3
-
-    buf = np.zeros((x.size, 4), np.uint64)
-    carry = 0
-    for i, u in enumerate(words):
-        m = below[i].take(Q)
-        moved = u & ~m
-        w = u & m | (below[i].take(Q + 1) ^ m) & 0x2E2E2E2E2E2E2E2E | moved << 8 | carry
-        carry = moved >> 56
-        w &= below[i].take(L)
-        w |= tail * (tail_word == i) | spill * (tail_word == i - 1)
-        buf[:, i] = w
-
+    buf[:, 3] = np.where(X < -4, _EXPONENTS.take(X + 28) | sep << 32, sep)
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = ("%-24.17g" * slow.size % tuple(x[slow].tolist())).encode("ascii")
@@ -605,11 +600,24 @@ def _cmd_evolve(args) -> _Output:
         **_solve_summary(result), "initial": args.initial, "t_max": args.t_max, "dt": args.dt}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads every token ``float()`` accepts as a value.
+    argparse's own test for a negative number has no exponent on some Python
+    versions, so it would take ``--delta -1e-3`` for a flag without its value."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it unchanged, and
     each ``parse_args`` call fills a new namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rabi-spectra",
         description="Trapped-ion spectra beyond the Lamb-Dicke and rotating-wave approximations.",
     )

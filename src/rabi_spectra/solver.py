@@ -310,7 +310,7 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
     for step in _walk(params, n_list, levels, n_table=n_list[-1]):
         rows += [{"n": step.n, "level": i, "energy": float(step.energies[i]),
                   "tail_weight": float(step.tail_weights[i]),
-                  "drift": None if step.n == n_list[0] else step.drifts[i]}
+                  "drift": None if step.n == n_list[0] else float(step.drifts[i])}
                  for i in range(levels)]
         del step
     return rows

@@ -378,6 +378,17 @@ class TestCat:
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@st.composite
+def short_decimals(draw):
+    """The double nearest +-m * 10**k, m of 1 to 16 digits, at a decimal exponent
+    X = -28 .. 16. About 23% of them have fewer than 17 significant digits under
+    ``'%.17g'``, at every count of digits; of raw bit patterns 10% do, mostly 16."""
+    digits = draw(st.integers(1, 16))
+    m = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
+    X = draw(st.integers(-28, 16))
+    return float(f"{draw(st.sampled_from('+-'))}{m}e{X + 1 - digits}")
+
+
 class TestWriteCsv:
     """An array is written a block of rows at a time, byte for byte as the
     per-value ``_fmt`` path writes the same rows."""
@@ -437,9 +448,9 @@ class TestWriteCsv:
         return text
 
     # Every double: st.floats() favours the special values, raw bit patterns
-    # cover the rest.
+    # cover the rest, and short decimals the significands of fewer than 17 digits.
     DOUBLES = st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(
-        lambda bits: float(np.array(bits, np.uint64).view(np.float64))))
+        lambda bits: float(np.array(bits, np.uint64).view(np.float64))), short_decimals())
 
     @pytest.mark.parametrize("block", [3, None])
     @settings(max_examples=200)
@@ -675,6 +686,30 @@ class TestParserReuse:
         assert cli._build_parser.cache_info().misses == 1
         assert [fresh[i][0] for i in order] == [0, 0, 2, 2, 0, 0, 0, 0, 0]
         assert all(data for code, data in fresh.values() if code == 0)
+
+
+class TestNegativeNumbers:
+    """A flag's value may be any number ``float()`` reads, a negative one with an
+    exponent too, given as the next token or after ``=``."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["spectrum", "--omega", "1", "--eta", "0.2"], "--delta"),
+        (["sweep", "--param", "delta", "--to", "1", "--steps", "2", "--omega", "2",
+          "--eta", "0.2"], "--from"),
+    ], ids=["spectrum", "sweep"])
+    def test_exponent_as_next_token(self, tmp_path, argv, flag):
+        spaced = [*argv, flag, "-1e-3", "--out", str(tmp_path / "spaced.csv")]
+        joined = [*argv, f"{flag}=-1e-3", "--out", str(tmp_path / "joined.csv")]
+        assert run(spaced) == run(joined) == 0
+        assert read_bytes(spaced[-1]) == read_bytes(joined[-1])
+        manifest = json.loads(read_bytes(spaced[-1] + ".manifest.json"))
+        assert manifest["command"] == shlex.join(spaced)
+
+    @pytest.mark.parametrize("token", ["-1e-3", "-1E2", "-.5e+1", "-2.", "-1_000", "-3",
+                                       "-inf", "-nan"])
+    def test_parses_as_float(self, token):
+        args = cli._build_parser().parse_args(["spectrum", *POINT[:4], "--delta", token])
+        assert repr(args.delta) == repr(float(token))
 
 
 class TestExitContract:

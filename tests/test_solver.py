@@ -497,6 +497,10 @@ class TestTruncationTable:
 
     def test_tails_positive_and_decreasing(self):
         rows = truncation_table(params_of(1, 0.2, 0), [20, 40, 60], levels=5)
+        # Every number in a row is a Python float, the first drift None.
+        for r in rows:
+            assert type(r["energy"]) is type(r["tail_weight"]) is float
+            assert type(r["drift"]) is (type(None) if r["n"] == 20 else float)
         for level in range(5):
             series = [r["tail_weight"] for r in rows if r["level"] == level]
             assert all(t > 0 for t in series)

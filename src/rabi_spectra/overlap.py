@@ -10,9 +10,12 @@ with p = min(m, n), q = max(m, n), α = q - p and L an associated Laguerre
 polynomial. One private function, ``_table``, makes every table: it
 holds the β = 0 case and the one finiteness check. Its kernel,
 ``_displacement``, runs the Laguerre three-term recurrence upward in p,
-vectorised across all diagonals α at once, into a buffer that, read at
-another stride, is the upper triangle of the table; it scales, mirrors and
-phases that triangle with no index plane or gather. The phase is
+vectorised across all diagonals α at once and across a leading axis of
+β's, into a buffer that, read at another stride, is the upper triangle of
+each table; it scales, mirrors and phases each triangle on its own array,
+with no index plane or gather. Each step of the recurrence is elementwise
+(+, −, ×, ÷), so a table built in a batch is bitwise the table of its β
+built alone. The phase is
 (β/|β|)^α below the diagonal (m >= n) and (-β*/|β|)^α above it, built by
 repeated multiplication so bases on the real or imaginary axis give exact
 ±1, ±i.
@@ -24,26 +27,31 @@ the same path with complex phases.
 Each entry takes the same floating-point operations whatever the table
 size, so the table at truncation n is exactly the leading block of any
 larger one, and a scalar read of one entry agrees with the bulk table bit
-for bit. ``_table`` uses that: it keeps one slot, the last β and the
-largest read-only table built for it, and serves any request for that β
-at a truncation no larger as a leading-block view. A request for another
-β, or a larger truncation, builds afresh and replaces the slot. Callers
-that know their largest truncation ask for it first: a solver walk asks
-for its second truncation (a walk always reaches it) before its first
-step. So an η sweep, whose points each have their own g, builds D(2g)
-once per point, and again for a walk's third step; a detuning sweep,
-whose points all share g, builds it only when a walk goes past the
-largest truncation so far. The slot holds that one table and nothing
-else: (n+1)² doubles for real β (0.39 MB at n = 220), twice that for
-complex β. It is process-wide and replaced as one tuple, so threads that
+for bit. ``_table`` uses that: it keeps one slot, the β's of the last build
+and the read-only tables built for them, and serves any request for one of
+those β's at a truncation no larger than its table as a leading-block
+view. A request for another β, or a larger truncation, builds that one
+table afresh and replaces the slot. Callers that know their largest
+truncation ask for it first: a solver walk asks for its second truncation
+(a walk always reaches it) before its first step. A sweep asks ahead:
+``_hold`` builds the tables of its next 8 points in one batched kernel
+call, skipping β = 0 and the β's already held, and keeps the finite ones.
+So an η sweep, whose points each have their own g, builds D(2g) once per
+8 points, and again for a walk's third step (which drops the rest of the
+batch); a detuning sweep, whose points all share g, builds it only when a
+walk goes past the largest truncation so far. The slot holds those tables
+and nothing else: (n+1)² doubles each for real β (0.39 MB at n = 220),
+twice that for complex β, for each β of the build (8 at most in a
+sweep). It is process-wide and replaced as one tuple, so threads that
 share it may rebuild a table another thread just built, but never read
-one β's table for another. Every entry point reads this table:
+one β's table for another.
+Every entry point reads the table of its β:
 
 * ``displacement_matrix`` returns a fresh writable complex copy of it;
 * ``displacement_element`` reads one entry of it;
 * ``overlap_matrix`` multiplies the real table of D(2g) by the column sign
   (-1)^k, the one place that convention lives; ``displaced_overlap``,
-  ``overlap_ab`` and ``overlap_ba`` read entries of that table.
+  ``overlap_ab`` and ``overlap_ba`` read one entry of D(2g) times that sign.
 
 For real g, D(-g) = D(g)ᵀ exactly, so one table serves both directions of
 a basis change.
@@ -67,6 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,67 +106,87 @@ def _by_diagonal(values: np.ndarray, n: int) -> np.ndarray:
     return np.ndarray((n + 1, n + 1), values.dtype, values, n * step, (-step, step))
 
 
-def _displacement(beta: complex, n: int) -> np.ndarray:
-    """(n+1) x (n+1) table of ⟨i|D(β)|j⟩ for β != 0; real for real β.
+def _displacement(betas: Sequence[complex], n: int) -> List[np.ndarray]:
+    """(n+1) x (n+1) tables of ⟨i|D(β)|j⟩, one per β != 0; real for real β.
 
-    Entry (i, j) must take the same floating-point operations for every
-    n >= max(i, j): the bitwise scalar == bulk and nested-truncation
+    One recurrence runs for every β at once along a leading axis; each step
+    is elementwise, so every β's entries are the ones a build of that β
+    alone gives. Each table is then scaled, mirrored and phased on its own
+    array. Entry (i, j) must take the same floating-point operations for
+    every n >= max(i, j): the bitwise scalar == bulk and nested-truncation
     guarantees rest on it. Out-of-range arguments overflow to inf/nan;
-    ``_table`` detects that and signals OverflowError, so the
-    intermediate warnings are suppressed here.
+    ``_table`` and ``_hold`` detect that, so the intermediate warnings are
+    suppressed here.
     """
-    r = abs(beta)
+    betas = [complex(beta) for beta in betas]
+    radii = [abs(beta) for beta in betas]
     dim = n + 1
-    x = r * r
-    # Row p holds L_p^(α)(x), read where p + α <= n. The spare last column
-    # puts row p at stride dim + 1, so the buffer read at stride dim is the
-    # triangle upper[i, j] = L_i^(j-i)(x), j >= i; the mirror below discards
-    # what that view holds under the diagonal.
-    lag = np.empty((dim, dim + 1))
-    lag[0] = 1.0
-    rows = list(lag[:, :dim])
+    # Row p of lag[b] holds L_p^(α)(x) for β_b, read where p + α <= n. The
+    # spare last column puts row p at stride dim + 1, so lag[b] read at stride
+    # dim is the triangle upper[i, j] = L_i^(j-i)(x), j >= i; the mirror below
+    # discards what that view holds under the diagonal.
+    lag = np.empty((len(betas), dim, dim + 1))
+    lag[:, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         # Step p reads ((2p - 1) + α) - x and (p - 1) + α. Their integer
         # parts are exact, so both are slices of one vector along the row.
         ints = np.arange(3 * dim, dtype=float)
-        grow = ints - x
+        grow = ints - np.array([r * r for r in radii])[:, None]
+        # Row p of every table at once; a lone β steps on 1-D rows, which
+        # numpy runs faster than rows of shape (1, dim).
+        if len(betas) == 1:
+            grow, rows = grow[0], list(lag[0, :, :dim])
+        else:
+            rows = list(lag[:, :, :dim].swapaxes(0, 1))
         # Each step runs over whole rows: the entries past p + α = n are never
         # read, and one call per whole row costs less than slicing it short.
         if n >= 1:
-            rows[1][:] = grow[1:1 + dim]
-        tail = np.empty(dim)
+            rows[1][:] = grow[..., 1:1 + dim]
+        tail = np.empty(rows[0].shape)
         for p in range(2, dim):
             row = rows[p]
-            np.multiply(grow[2 * p - 1:2 * p - 1 + dim], rows[p - 1], out=row)
+            np.multiply(grow[..., 2 * p - 1:2 * p - 1 + dim], rows[p - 1], out=row)
             np.multiply(ints[p - 1:p - 1 + dim], rows[p - 2], out=tail)
             np.subtract(row, tail, out=row)
             np.divide(row, ints[p], out=row)
-        upper = lag.reshape(-1)[:dim * dim].reshape(dim, dim)
         # |⟨i|D(β)|j⟩| = sqrt(i!/j!) r^(j-i) e^(-x/2) L_i^(j-i)(x) for j >= i.
         log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])
         diagonals = np.arange(-n, dim)  # j - i, as _by_diagonal reads it
-        table = log_fact[:, None] - log_fact
-        table *= 0.5
-        table -= 0.5 * x
-        table += _by_diagonal(diagonals * math.log(r), n)
-        np.exp(table, out=table)
-        table *= upper
-        # Mirror the upper triangle by selection: adding the two triangles
-        # would turn the -0.0 of entries far off the diagonal into +0.0.
-        table = np.where(_by_diagonal(diagonals >= 0, n), table, table.T)
-        # Phase (β/r)^(i-j) on and below the diagonal, (-β*/r)^(j-i) above it.
-        if beta.imag == 0.0:
-            step_below, step_above = beta.real / r, -beta.real / r
-        else:
-            step_below, step_above = beta / r, -beta.conjugate() / r
-        below = np.cumprod(np.concatenate([[1.0], np.full(n, step_below)]))
-        above = np.cumprod(np.concatenate([[1.0], np.full(n, step_above)]))
-        return _by_diagonal(np.concatenate([below[::-1], above[1:]]), n) * table
+        tables = []
+        for beta, r, buffer in zip(betas, radii, lag):
+            upper = buffer.reshape(-1)[:dim * dim].reshape(dim, dim)
+            table = log_fact[:, None] - log_fact
+            table *= 0.5
+            table -= 0.5 * (r * r)
+            table += _by_diagonal(diagonals * math.log(r), n)
+            np.exp(table, out=table)
+            table *= upper
+            # Mirror the upper triangle by selection: adding the two triangles
+            # would turn the -0.0 of entries far off the diagonal into +0.0.
+            table = np.where(_by_diagonal(diagonals >= 0, n), table, table.T)
+            # Phase (β/r)^(i-j) on and below the diagonal, (-β*/r)^(j-i) above it.
+            if beta.imag == 0.0:
+                step_below, step_above = beta.real / r, -beta.real / r
+            else:
+                step_below, step_above = beta / r, -beta.conjugate() / r
+            below = np.cumprod(np.concatenate([[1.0], np.full(n, step_below)]))
+            above = np.cumprod(np.concatenate([[1.0], np.full(n, step_above)]))
+            tables.append(_by_diagonal(np.concatenate([below[::-1], above[1:]]), n) * table)
+        return tables
 
 
-# The last β served and the largest table built for it, kept as one tuple so
-# that a reader never pairs one β with another β's table.
+# The β's and tables of the last build, kept as one tuple so that a reader
+# never pairs one β with another β's table; (None, None) when empty.
 _slot: tuple = (None, None)
+
+
+def _held(beta: complex, n: int) -> Optional[np.ndarray]:
+    """The kept table of β if it covers truncation n, else None."""
+    betas, tables = _slot
+    if betas is None or beta not in betas:
+        return None
+    table = tables[betas.index(beta)]
+    return table if table.shape[0] > n else None
 
 
 def _table(beta: complex, n: int) -> np.ndarray:
@@ -167,9 +196,10 @@ def _table(beta: complex, n: int) -> np.ndarray:
     complex, not a bool or string) or a bad n raises InvalidParam before
     any build, β = 0 gives the identity exactly, and a non-finite
     table (see the module docstring) raises OverflowError and is not
-    kept. A request for the β of the slot at a truncation no larger than
-    the kept table is served as its leading block, which is bitwise the
-    table a fresh build would give.
+    kept. A request for a β of the slot at a truncation no larger than
+    its kept table is served as the leading block, which is bitwise the
+    table a fresh build would give; any other request builds that one
+    table, which then replaces the slot.
     """
     global _slot
     _check_index("n", n)
@@ -179,17 +209,43 @@ def _table(beta: complex, n: int) -> np.ndarray:
         table = np.eye(n + 1)
         table.setflags(write=False)
         return table
-    last, table = _slot
-    if last == beta and table.shape[0] > n:
+    table = _held(beta, n)
+    if table is not None:
         return table[:n + 1, :n + 1]
-    table = _displacement(beta, n)
+    table, = _displacement([beta], n)
     if not np.all(np.isfinite(table)):
         raise OverflowError(f"the table of D(beta) for beta={beta} at n={n} is not "
                             "representable: its Laguerre values overflow (from n = 1020 at "
                             "small |beta|; tested to n = 1650 at |beta| = 36)")
     table.setflags(write=False)
-    _slot = (beta, table)
+    _slot = ((beta,), (table,))
     return table
+
+
+def _hold(requests: Iterable[Tuple[complex, int]]) -> None:
+    """Keep a table for each (β, n) requested, building the missing ones in one call.
+
+    β = 0 and a β already held at truncation n or above are not built;
+    the rest are built together at the largest n asked of them. The slot
+    then holds the requested tables that were held and the new ones that
+    are finite. Never raises: a table that is not finite is dropped, and a
+    later ``_table`` request for it builds it alone and raises there.
+    """
+    global _slot
+    sizes = {}
+    for beta, n in requests:
+        beta = complex(beta)
+        if beta != 0:
+            sizes[beta] = max(n, sizes.get(beta, 0))
+    tables = {beta: _held(beta, n) for beta, n in sizes.items()}
+    missing = [beta for beta, table in tables.items() if table is None]
+    if not missing:
+        return
+    for beta, table in zip(missing, _displacement(missing, max(sizes[b] for b in missing))):
+        table.setflags(write=False)
+        tables[beta] = table if np.all(np.isfinite(table)) else None
+    pairs = [(beta, table) for beta, table in tables.items() if table is not None]
+    _slot = tuple(zip(*pairs)) if pairs else (None, None)
 
 
 def displaced_overlap(m: int, n: int, g: float) -> float:
@@ -202,7 +258,8 @@ def displaced_overlap(m: int, n: int, g: float) -> float:
     """
     _check_index("m", m)
     _check_index("n", n)
-    return float(overlap_matrix(max(m, n), g).values[m, n])
+    _check_finite("g", g)
+    return float(_table(2.0 * g, max(m, n))[m, n] * (-1.0) ** n)
 
 
 def displaced_overlap_series(m: int, n: int, g: float) -> float:

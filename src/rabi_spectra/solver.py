@@ -229,21 +229,51 @@ def _reach(params: ModelParams, k: int) -> float:
     return reach * reach
 
 
+def _grid(params: ModelParams, basis: BasisSpec) -> List[int]:
+    """The truncations ``solve_spectrum`` may visit, in order.
+
+    The grid points at or above the reach of the requested levels, or
+    ``n_max_hard`` alone if none is that large.
+    """
+    reach = _reach(params, basis.levels_requested)
+    return [n for n in (*range(basis.n_start, basis.n_max_hard, basis.n_step), basis.n_max_hard)
+            if n >= reach] or [basis.n_max_hard]
+
+
+def _table_size(n_list: Sequence[int]) -> int:
+    """The truncation of the table of D(2g) that a walk over ``n_list`` asks for first.
+
+    Its second truncation, or its only one: the first step's drifts are inf
+    and cannot pass, so a walk always reaches the second.
+    """
+    return n_list[min(1, len(n_list) - 1)]
+
+
+def _prefetch(points: Sequence[ModelParams], basis: BasisSpec) -> None:
+    """Build the first table each point's walk under ``basis`` asks for, in one batched call.
+
+    The tables are kept in the slot of ``overlap._table``, so the walks read
+    them bitwise as they would build them. β = 0 and tables already kept
+    are skipped. Never raises: a table that is not finite is not kept, and
+    the walk of its point raises when it builds it.
+    """
+    _overlap._hold([(2.0 * p.g, _table_size(_grid(p, basis))) for p in points])
+
+
 def _walk(params: ModelParams, n_list: Sequence[int], k: int,
           n_table: Optional[int] = None) -> Iterator[_Step]:
     """Solve at each truncation in turn, each drift taken against the one before.
 
     Before the first step the walk asks for the table of D(2g) at ``n_table``,
-    by default its second truncation: the first step's drifts are inf and
-    cannot pass, so a walk always reaches it. The call only fills the kept
-    slot of ``overlap._table``; every step up to ``n_table`` then reads a
-    leading block of that one table, bitwise the table a build at its own
-    size gives.
+    by default ``_table_size(n_list)``. The call only fills the kept slot of
+    ``overlap._table`` (or finds the table a sweep already put there); every
+    step up to ``n_table`` then reads a leading block of that one table,
+    bitwise the table a build at its own size gives.
 
     It keeps only the previous energies, and drops each step before the next.
     """
     if n_table is None:
-        n_table = n_list[min(1, len(n_list) - 1)]
+        n_table = _table_size(n_list)
     _overlap._table(2.0 * params.g, n_table)
     energies = None
     for n in n_list:
@@ -267,9 +297,7 @@ def solve_spectrum(params: ModelParams, basis: Optional[BasisSpec] = None) -> Sp
     """
     basis = basis if basis is not None else BasisSpec()
     trace: List[Tuple[int, np.ndarray]] = []
-    reach = _reach(params, basis.levels_requested)
-    n_list = [n for n in (*range(basis.n_start, basis.n_max_hard, basis.n_step), basis.n_max_hard)
-              if n >= reach] or [basis.n_max_hard]
+    n_list = _grid(params, basis)
     for step in _walk(params, n_list, basis.levels_requested):
         trace.append((step.n, step.energies))
         converged = (step.tail_weights <= basis.tail_tol) & (step.drifts <= basis.drift_tol)

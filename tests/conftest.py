@@ -38,9 +38,14 @@ def perturbed_eigh(monkeypatch):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The truncation of every table build, in order, starting from an empty slot."""
+    """The truncation of every table build, in order, starting from an empty slot.
+
+    One entry per kernel call, however many β it builds: a sweep builds the
+    tables of a chunk of points in one call, at the largest truncation they need.
+    """
     sizes = []
     build = overlap._displacement
-    monkeypatch.setattr(overlap, "_displacement", lambda beta, n: sizes.append(n) or build(beta, n))
+    monkeypatch.setattr(overlap, "_displacement",
+                        lambda betas, n: sizes.append(n) or build(betas, n))
     monkeypatch.setattr(overlap, "_slot", (None, None))
     return sizes

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rabi_spectra import cli, solver
+from rabi_spectra import ModelParams, cli, overlap, solve_spectrum, solver
 from rabi_spectra.cli import main
 from rabi_spectra.solver import LevelPairing, classify_levels
 
@@ -277,6 +277,28 @@ class TestSweep:
         assert run(["sweep", "--param", "delta", "--from", "-2", "--to", "2", "--steps", "9",
                     "--omega", "2", "--eta", "0.2", "--out", str(tmp_path / "sw.csv")]) == 0
         assert len(set(table_builds)) == len(table_builds) <= 2
+
+    def test_eta_sweep_matches_point_solves(self, tmp_path, monkeypatch):
+        # The batched tables give every point the energies and parities of a
+        # solve that builds its own tables, bit for bit.
+        out = str(tmp_path / "sw.csv")
+        assert run(["sweep", "--param", "eta", "--from", "0", "--to", "1.2", "--steps", "11",
+                    "--omega", "1", "--delta", "0", "--out", out]) == 0
+        header, rows = read_csv(out)
+        for value in dict.fromkeys(r[0] for r in rows):
+            monkeypatch.setattr(overlap, "_slot", (None, None))
+            result = solve_spectrum(ModelParams(omega=1.0, eta=float(value), delta=0.0))
+            point = [r for r in rows if r[0] == value]
+            assert [float(r[header.index("energy")]) for r in point] == result.energies.tolist()
+            assert [float(r[header.index("parity")]) for r in point] == result.parities.tolist()
+
+    def test_eta_sweep_builds_one_table_per_chunk(self, tmp_path, table_builds):
+        # Each chunk of 8 points builds its tables in one call; the walks,
+        # which stop at n = 60 here, build none.
+        assert run(["sweep", "--param", "eta", "--from", "0", "--to", "1", "--steps", "11",
+                    "--omega", "1", "--delta", "0", "--out", str(tmp_path / "sw.csv")]) == 0
+        assert cli._SWEEP_CHUNK == 8
+        assert table_builds == [60] * math.ceil(11 / 8)
 
     def test_missing_fixed_param_rejected(self, tmp_path):
         out = str(tmp_path / "sw.csv")
@@ -774,6 +796,14 @@ class TestExitContract:
                                     "--out", str(tmp_path / "spec.csv")], tmp_path, capsys)
         assert "the table of D(beta) for beta=(38+0j) at n=400" in err
         assert "|beta| = 36" in err and "displacement_matrix" not in err
+
+    def test_sweep_table_overflow(self, tmp_path, capsys):
+        # The batched build drops the tables that overflow; the point's own
+        # solve then builds its table alone and reports it.
+        err = self.assert_rejected(["sweep", "--param", "eta", "--from", "0", "--to", "80",
+                                    "--steps", "3", "--omega", "1", "--delta", "0",
+                                    "--out", str(tmp_path / "sw.csv")], tmp_path, capsys)
+        assert "the table of D(beta) for beta=(40+0j) at n=400 is not representable" in err
 
     def test_evolve_step_count_not_finite(self, tmp_path, capsys):
         self.assert_rejected(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",

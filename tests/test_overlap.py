@@ -440,8 +440,13 @@ class TestDisplacementProperties:
 
 
 def _fresh(beta, n):
-    """The table built from scratch, bypassing the kept one."""
-    return overlap._displacement(complex(beta), n) if beta != 0 else np.eye(n + 1)
+    """The table built from scratch, alone, bypassing the kept one."""
+    return overlap._displacement([beta], n)[0] if beta != 0 else np.eye(n + 1)
+
+
+# Members of a batched build: general β, exact duplicates of either sign, 0
+# and a β so small that |β|² underflows.
+_batch_beta = st.one_of(_beta, st.sampled_from([0.0, 0.4, -0.4, 1e-300, -1e-300, 0.3j]))
 
 
 class TestTableSlot:
@@ -472,6 +477,41 @@ class TestTableSlot:
         tables = {size: overlap._table(beta, size).tobytes() for size in order}
         assert tables[n] == _fresh(beta, n).tobytes()
         assert tables[n + 20] == _fresh(beta, n + 20).tobytes()
+
+    @settings(max_examples=25)
+    @given(betas=st.lists(_batch_beta, min_size=1, max_size=6), n=_truncation,
+           past_edge=st.booleans())
+    def test_batched_build_is_fresh(self, betas, n, past_edge):
+        # One kernel call builds every table; each is bitwise the table of its
+        # β built alone. β = 38 is finite up to n = 326 only: at n = 400 it
+        # drops out of the batch, which is then built at n = 400 and read at n.
+        overlap._slot = (None, None)
+        requests = [(beta, n) for beta in betas] + [(38.0, 400)] * past_edge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overlap._hold(requests)
+        slot = overlap._slot
+        assert set(slot[0] or ()) == {complex(beta) for beta in betas if beta != 0}
+        for beta in betas:
+            assert overlap._table(beta, n).tobytes() == _fresh(beta, n).tobytes()
+        assert overlap._slot is slot  # every table was served from the batch
+        if past_edge:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError, match=r"beta=\(38\+0j\) at n=400 is not "
+                                   r"representable: .*tested to n = 1650 at \|beta\| = 36\)"):
+                    overlap._table(38.0, 400)
+
+    def test_batch_keeps_held_tables(self, table_builds):
+        # A held table is not built again, and stays held beside the new ones;
+        # a request past its size builds it anew.
+        overlap._table(0.5, 40)
+        overlap._hold([(0.5, 40), (0.7, 20), (0.0, 60), (0.7, 30)])
+        assert overlap._slot[0] == (0.5, 0.7)
+        overlap._hold([(0.7, 30), (0.5, 20)])
+        assert table_builds == [40, 30]
+        overlap._hold([(0.5, 60)])
+        assert overlap._slot[0] == (0.5,) and table_builds == [40, 30, 60]
 
 
 # sha256 of ``_table(β, n).tobytes()`` as first frozen: a rewrite of the kernel

@@ -42,7 +42,7 @@ from . import __version__
 from .errors import ConvergenceFailure, IncompleteBasis, InvalidParam, RabiSpectraError
 from .hamiltonian import rwa_spectrum
 from .model import BasisSpec, ModelParams, _check_finite, _is_finite_number
-from .solver import (LevelPairing, SpectralResult, _prefetch, _reach, classify_levels,
+from .solver import (LevelPairing, SpectralResult, _reach, _sweep, classify_levels,
                      solve_spectrum, truncation_table)
 from .states import (
     basis_state,
@@ -61,11 +61,6 @@ MAX_ROWS = 10_000_000
 # grow with the block: 4096 rows would raise the peak memory of a 10**4-row
 # evolve by about 8 MB over 512.
 _CSV_BLOCK = 512
-
-# Sweep points whose D(2g) tables are built together in one batched call and
-# kept until the next build: 8 tables of (n+1)² doubles, 0.24 MB at n = 60 and
-# 10 MB at n = 400.
-_SWEEP_CHUNK = 8
 
 _PRESETS = {
     # Coupling sweep at resonance; the two parity chains split as eta grows.
@@ -407,22 +402,13 @@ def _rwa_payload(pairing: List[LevelPairing]) -> dict:
     }
 
 
-def _solve(params: ModelParams,
-           basis: BasisSpec) -> Tuple[SpectralResult, Optional[ConvergenceFailure]]:
-    """Solve; on convergence failure return the partial result and the failure."""
-    try:
-        return solve_spectrum(params, basis), None
-    except ConvergenceFailure as failure:
-        return failure.result, failure
-
-
 def _solve_or_partial(args) -> Tuple[SpectralResult, int]:
     """Solve at the point and basis flags, or warn and fall back to the partial result, exit 3."""
-    result, failure = _solve(_params_from_args(args), _basis_from_args(args))
-    if failure is None:
-        return result, 0
-    print(f"warning: {failure}", file=sys.stderr)
-    return result, 3
+    try:
+        return solve_spectrum(_params_from_args(args), _basis_from_args(args)), 0
+    except ConvergenceFailure as failure:
+        print(f"warning: {failure}", file=sys.stderr)
+        return failure.result, 3
 
 
 def _solve_summary(result: SpectralResult) -> dict:
@@ -508,11 +494,8 @@ def _cmd_sweep(args) -> _Output:
     with_rwa = args.param == "eta" and args.omega == 1.0
     rows = []
     failures = []
-    for i, params in enumerate(grid):
-        if i % _SWEEP_CHUNK == 0:
-            _prefetch(grid[i:i + _SWEEP_CHUNK], basis)
-        value = getattr(params, args.param)
-        result, failure = _solve(params, basis)
+    for result, failure in _sweep(grid, basis):
+        value = getattr(result.params, args.param)
         if failure is not None:
             failures.append({"value": value, "error": str(failure)})
         pairing = _pairing(result) if with_rwa else [None] * result.levels

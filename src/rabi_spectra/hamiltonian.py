@@ -31,7 +31,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .model import ModelParams, _check_finite, _check_index
-from .overlap import _table, displacement_matrix
+from .overlap import _table
 
 __all__ = [
     "build_displaced_hamiltonian",
@@ -114,7 +114,8 @@ def build_lab_hamiltonian(params: ModelParams, n: int) -> np.ndarray:
     low-lying spectrum agrees with the working-frame builds up to the
     (slower) truncation error of the exponential coupling.
     """
-    drive = (params.omega / 2.0) * displacement_matrix(1j * params.eta, n)
+    # Complex also at η = 0, where the table is the real identity.
+    drive = complex(params.omega / 2.0) * _table(1j * params.eta, n)
     k = np.arange(n + 1)
     return _two_blocks(np.diag(params.delta / 2.0 + k), np.diag(-params.delta / 2.0 + k), drive)
 
@@ -128,7 +129,7 @@ def build_U_matrix(eta: float, n: int) -> np.ndarray:
     unitary to the accuracy of the wave-factor tails.
     """
     _check_finite("eta", eta)
-    f = displacement_matrix(0.5j * eta, n)
+    f = _table(0.5j * eta, n)
     phase = (1.0j ** np.arange(n + 1))[:, None]
     phase_f_dag, phase_f = phase * f.conj().T, phase * f
     # + 0.0 turns each -0.0 of the products into the +0.0 a product with diag(i^k) gives.

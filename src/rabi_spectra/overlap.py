@@ -27,24 +27,22 @@ the same path with complex phases.
 Each entry takes the same floating-point operations whatever the table
 size, so the table at truncation n is exactly the leading block of any
 larger one, and a scalar read of one entry agrees with the bulk table bit
-for bit. ``_table`` uses that: it keeps one slot, the β's of the last build
-and the read-only tables built for them, and serves any request for one of
-those β's at a truncation no larger than its table as a leading-block
-view. A request for another β, or a larger truncation, builds that one
-table afresh and replaces the slot. Callers that know their largest
-truncation ask for it first: a solver walk asks for its second truncation
-(a walk always reaches it) before its first step. A sweep asks ahead:
-``_hold`` builds the tables of its next 8 points in one batched kernel
-call, skipping β = 0 and the β's already held, and keeps the finite ones.
-So an η sweep, whose points each have their own g, builds D(2g) once per
-8 points, and again for a walk's third step (which drops the rest of the
-batch); a detuning sweep, whose points all share g, builds it only when a
-walk goes past the largest truncation so far. The slot holds those tables
-and nothing else: (n+1)² doubles each for real β (0.39 MB at n = 220),
-twice that for complex β, for each β of the build (8 at most in a
-sweep). It is process-wide and replaced as one tuple, so threads that
-share it may rebuild a table another thread just built, but never read
-one β's table for another.
+for bit. The module keeps one slot: the read-only tables of the last build,
+a dict {β: table} replaced whole. A request for a β of the slot at a
+truncation its table covers is served as a leading-block view. ``_table``
+builds any other request alone; ``_hold``, a sweep's request for the first
+tables of its next 8 walks, builds nothing if the slot covers them all and
+otherwise builds every one in one kernel call at the largest truncation
+asked. The finite tables of a build replace the slot. A solver walk asks
+for its second truncation (a walk always reaches it) before its first
+step. So an η sweep, whose points each have their own g, builds D(2g) once
+per 8 points, and again for a walk's third step (which drops the rest of
+the batch); a detuning sweep, whose points all share g, builds it only
+when a walk goes past the largest truncation so far. The slot holds
+(n+1)² doubles per table for real β (0.39 MB at n = 220), twice that for
+complex β, and 8 tables at most. Threads that share it may rebuild a table
+another thread just built, but never read one β's table for another.
+
 Every entry point reads the table of its β:
 
 * ``displacement_matrix`` returns a fresh writable complex copy of it;
@@ -75,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -132,20 +130,15 @@ def _displacement(betas: Sequence[complex], n: int) -> List[np.ndarray]:
         # parts are exact, so both are slices of one vector along the row.
         ints = np.arange(3 * dim, dtype=float)
         grow = ints - np.array([r * r for r in radii])[:, None]
-        # Row p of every table at once; a lone β steps on 1-D rows, which
-        # numpy runs faster than rows of shape (1, dim).
-        if len(betas) == 1:
-            grow, rows = grow[0], list(lag[0, :, :dim])
-        else:
-            rows = list(lag[:, :, :dim].swapaxes(0, 1))
+        rows = list(lag[:, :, :dim].swapaxes(0, 1))  # row p of every table at once
         # Each step runs over whole rows: the entries past p + α = n are never
         # read, and one call per whole row costs less than slicing it short.
         if n >= 1:
-            rows[1][:] = grow[..., 1:1 + dim]
+            rows[1][:] = grow[:, 1:1 + dim]
         tail = np.empty(rows[0].shape)
         for p in range(2, dim):
             row = rows[p]
-            np.multiply(grow[..., 2 * p - 1:2 * p - 1 + dim], rows[p - 1], out=row)
+            np.multiply(grow[:, 2 * p - 1:2 * p - 1 + dim], rows[p - 1], out=row)
             np.multiply(ints[p - 1:p - 1 + dim], rows[p - 2], out=tail)
             np.subtract(row, tail, out=row)
             np.divide(row, ints[p], out=row)
@@ -175,18 +168,9 @@ def _displacement(betas: Sequence[complex], n: int) -> List[np.ndarray]:
         return tables
 
 
-# The β's and tables of the last build, kept as one tuple so that a reader
-# never pairs one β with another β's table; (None, None) when empty.
-_slot: tuple = (None, None)
-
-
-def _held(beta: complex, n: int) -> Optional[np.ndarray]:
-    """The kept table of β if it covers truncation n, else None."""
-    betas, tables = _slot
-    if betas is None or beta not in betas:
-        return None
-    table = tables[betas.index(beta)]
-    return table if table.shape[0] > n else None
+# The tables of the last build, {β: read-only table}; replaced whole, never
+# changed in place, so a reader never pairs one β with another β's table.
+_slot: Dict[complex, np.ndarray] = {}
 
 
 def _table(beta: complex, n: int) -> np.ndarray:
@@ -194,12 +178,9 @@ def _table(beta: complex, n: int) -> np.ndarray:
 
     The one table function: a β that is not a finite number (real or
     complex, not a bool or string) or a bad n raises InvalidParam before
-    any build, β = 0 gives the identity exactly, and a non-finite
-    table (see the module docstring) raises OverflowError and is not
-    kept. A request for a β of the slot at a truncation no larger than
-    its kept table is served as the leading block, which is bitwise the
-    table a fresh build would give; any other request builds that one
-    table, which then replaces the slot.
+    any build, β = 0 gives the identity exactly, and a non-finite table
+    raises OverflowError and is not kept. The slot rule is in the module
+    docstring.
     """
     global _slot
     _check_index("n", n)
@@ -209,8 +190,8 @@ def _table(beta: complex, n: int) -> np.ndarray:
         table = np.eye(n + 1)
         table.setflags(write=False)
         return table
-    table = _held(beta, n)
-    if table is not None:
+    table = _slot.get(beta)
+    if table is not None and table.shape[0] > n:
         return table[:n + 1, :n + 1]
     table, = _displacement([beta], n)
     if not np.all(np.isfinite(table)):
@@ -218,34 +199,29 @@ def _table(beta: complex, n: int) -> np.ndarray:
                             "representable: its Laguerre values overflow (from n = 1020 at "
                             "small |beta|; tested to n = 1650 at |beta| = 36)")
     table.setflags(write=False)
-    _slot = ((beta,), (table,))
+    _slot = {beta: table}
     return table
 
 
 def _hold(requests: Iterable[Tuple[complex, int]]) -> None:
-    """Keep a table for each (β, n) requested, building the missing ones in one call.
+    """Keep a table for each (β, n) requested, β = 0 aside, by the slot rule.
 
-    β = 0 and a β already held at truncation n or above are not built;
-    the rest are built together at the largest n asked of them. The slot
-    then holds the requested tables that were held and the new ones that
-    are finite. Never raises: a table that is not finite is dropped, and a
-    later ``_table`` request for it builds it alone and raises there.
+    Never raises: a table that is not finite is not kept, and a later
+    ``_table`` request for it builds it alone and raises there.
     """
     global _slot
-    sizes = {}
+    sizes: Dict[complex, int] = {}
     for beta, n in requests:
         beta = complex(beta)
         if beta != 0:
             sizes[beta] = max(n, sizes.get(beta, 0))
-    tables = {beta: _held(beta, n) for beta, n in sizes.items()}
-    missing = [beta for beta, table in tables.items() if table is None]
-    if not missing:
+    held = _slot
+    if all(beta in held and held[beta].shape[0] > n for beta, n in sizes.items()):
         return
-    for beta, table in zip(missing, _displacement(missing, max(sizes[b] for b in missing))):
+    tables = _displacement(list(sizes), max(sizes.values()))
+    for table in tables:
         table.setflags(write=False)
-        tables[beta] = table if np.all(np.isfinite(table)) else None
-    pairs = [(beta, table) for beta, table in tables.items() if table is not None]
-    _slot = tuple(zip(*pairs)) if pairs else (None, None)
+    _slot = {beta: table for beta, table in zip(sizes, tables) if np.all(np.isfinite(table))}
 
 
 def displaced_overlap(m: int, n: int, g: float) -> float:

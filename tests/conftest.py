@@ -47,5 +47,5 @@ def table_builds(monkeypatch):
     build = overlap._displacement
     monkeypatch.setattr(overlap, "_displacement",
                         lambda betas, n: sizes.append(n) or build(betas, n))
-    monkeypatch.setattr(overlap, "_slot", (None, None))
+    monkeypatch.setattr(overlap, "_slot", {})
     return sizes

@@ -286,7 +286,7 @@ class TestSweep:
                     "--omega", "1", "--delta", "0", "--out", out]) == 0
         header, rows = read_csv(out)
         for value in dict.fromkeys(r[0] for r in rows):
-            monkeypatch.setattr(overlap, "_slot", (None, None))
+            monkeypatch.setattr(overlap, "_slot", {})
             result = solve_spectrum(ModelParams(omega=1.0, eta=float(value), delta=0.0))
             point = [r for r in rows if r[0] == value]
             assert [float(r[header.index("energy")]) for r in point] == result.energies.tolist()
@@ -297,7 +297,7 @@ class TestSweep:
         # which stop at n = 60 here, build none.
         assert run(["sweep", "--param", "eta", "--from", "0", "--to", "1", "--steps", "11",
                     "--omega", "1", "--delta", "0", "--out", str(tmp_path / "sw.csv")]) == 0
-        assert cli._SWEEP_CHUNK == 8
+        assert solver._SWEEP_CHUNK == 8
         assert table_builds == [60] * math.ceil(11 / 8)
 
     def test_missing_fixed_param_rejected(self, tmp_path):
@@ -409,6 +409,45 @@ def short_decimals(draw):
     m = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
     X = draw(st.integers(-28, 16))
     return float(f"{draw(st.sampled_from('+-'))}{m}e{X + 1 - digits}")
+
+
+class TestSolveCalls:
+    """How many tables and solves each command makes.
+
+    ``solve_spectrum`` is called once per point, through ``cli`` or
+    ``solver``: timing it at those two module attributes must see every
+    solve, and see each one once.
+    """
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(params, basis=None):
+            calls.append(params)
+            return solve_spectrum(params, basis)
+
+        for module in (cli, solver):
+            if hasattr(module, "solve_spectrum"):
+                monkeypatch.setattr(module, "solve_spectrum", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["spectrum", "compare-rwa"])
+    def test_point_command_builds_once(self, tmp_path, table_builds, solves, command):
+        assert run([command, "--omega", "1", "--eta", "0.4137", "--delta", "0",
+                    "--out", str(tmp_path / "out.csv")]) == 0
+        assert table_builds == [60] and len(solves) == 1
+
+    def test_sweep_solves_each_point_once(self, tmp_path, solves):
+        assert run(["sweep", "--param", "delta", "--from", "-1", "--to", "1", "--steps", "11",
+                    "--omega", "2", "--eta", "0.2", "--out", str(tmp_path / "sw.csv")]) == 0
+        assert [p.delta for p in solves] == np.linspace(-1, 1, 11).tolist()
+
+    @pytest.mark.parametrize("initial", ["cat", "ground", "fock:0,g"])
+    def test_evolve_solves_once(self, tmp_path, solves, initial):
+        assert run(["evolve", *POINT, "--t-max", "1", "--dt", "0.1", "--initial", initial,
+                    "--out", str(tmp_path / "ev.csv")]) == 0
+        assert len(solves) == 1
 
 
 class TestWriteCsv:
@@ -804,6 +843,23 @@ class TestExitContract:
                                     "--steps", "3", "--omega", "1", "--delta", "0",
                                     "--out", str(tmp_path / "sw.csv")], tmp_path, capsys)
         assert "the table of D(beta) for beta=(40+0j) at n=400 is not representable" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--omega", "1", "--eta", "38", "--delta", "0"], "beta=(38+0j) at n=400"),
+        (["converge", "--omega", "1", "--eta", "0.2", "--delta", "0.3",
+          "--n-list", "20,40,1100"], "beta=(0.2+0j) at n=1100"),
+    ], ids=["spectrum", "converge"])
+    def test_table_overflow_builds_once(self, tmp_path, capsys, monkeypatch, table_builds,
+                                        argv, message):
+        # A single-point command builds its one table before any eigh, and
+        # reports the overflow from that build.
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(len(a)) or eigh(a))
+        err = self.assert_rejected([*argv, "--out", str(tmp_path / "out.csv")],
+                                   tmp_path, capsys)
+        assert f"the table of D(beta) for {message} is not representable" in err
+        assert table_builds == [int(message.rsplit("=", 1)[1])] and eighs == []
 
     def test_evolve_step_count_not_finite(self, tmp_path, capsys):
         self.assert_rejected(["evolve", "--omega", "1", "--eta", "0.2", "--delta", "0",

@@ -472,7 +472,7 @@ class TestTableSlot:
     @settings(max_examples=40)
     @given(beta=_beta, n=_truncation, large_first=st.booleans())
     def test_order_independent(self, beta, n, large_first):
-        overlap._slot = (None, None)
+        overlap._slot = {}
         order = (n + 20, n) if large_first else (n, n + 20)
         tables = {size: overlap._table(beta, size).tobytes() for size in order}
         assert tables[n] == _fresh(beta, n).tobytes()
@@ -485,13 +485,13 @@ class TestTableSlot:
         # One kernel call builds every table; each is bitwise the table of its
         # β built alone. β = 38 is finite up to n = 326 only: at n = 400 it
         # drops out of the batch, which is then built at n = 400 and read at n.
-        overlap._slot = (None, None)
+        overlap._slot = {}
         requests = [(beta, n) for beta in betas] + [(38.0, 400)] * past_edge
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             overlap._hold(requests)
         slot = overlap._slot
-        assert set(slot[0] or ()) == {complex(beta) for beta in betas if beta != 0}
+        assert set(slot) == {complex(beta) for beta in betas if beta != 0}
         for beta in betas:
             assert overlap._table(beta, n).tobytes() == _fresh(beta, n).tobytes()
         assert overlap._slot is slot  # every table was served from the batch
@@ -503,15 +503,20 @@ class TestTableSlot:
                     overlap._table(38.0, 400)
 
     def test_batch_keeps_held_tables(self, table_builds):
-        # A held table is not built again, and stays held beside the new ones;
-        # a request past its size builds it anew.
+        # A request the slot covers builds nothing and keeps the held tables.
+        # One missing or short table builds every requested β in one call at
+        # the largest size asked, and the new tables replace the slot.
         overlap._table(0.5, 40)
+        overlap._hold([(0.5, 30), (0.0, 60)])
+        assert table_builds == [40] and list(overlap._slot) == [0.5]
         overlap._hold([(0.5, 40), (0.7, 20), (0.0, 60), (0.7, 30)])
-        assert overlap._slot[0] == (0.5, 0.7)
+        assert table_builds == [40, 40] and list(overlap._slot) == [0.5, 0.7]
+        slot = overlap._slot
         overlap._hold([(0.7, 30), (0.5, 20)])
-        assert table_builds == [40, 30]
+        assert table_builds == [40, 40] and overlap._slot is slot
         overlap._hold([(0.5, 60)])
-        assert overlap._slot[0] == (0.5,) and table_builds == [40, 30, 60]
+        assert table_builds == [40, 40, 60] and list(overlap._slot) == [0.5]
+        assert all(not table.flags.writeable for table in overlap._slot.values())
 
 
 # sha256 of ``_table(β, n).tobytes()`` as first frozen: a rewrite of the kernel
@@ -532,6 +537,6 @@ TABLE_DIGESTS = {
 class TestTableBits:
     @pytest.mark.parametrize("beta, n", list(TABLE_DIGESTS))
     def test_digest_frozen(self, monkeypatch, beta, n):
-        monkeypatch.setattr(overlap, "_slot", (None, None))
+        monkeypatch.setattr(overlap, "_slot", {})
         table = overlap._table(beta, n)
         assert hashlib.sha256(table.tobytes()).hexdigest() == TABLE_DIGESTS[beta, n]

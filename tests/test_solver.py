@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from banded import bare_levels
 from braak import g_zeros
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -430,6 +431,31 @@ class TestBraakOracle:
             assert np.min(np.abs(zeros[int(parity)] - energy)) < 1e-10
 
 
+class TestBandedOracle:
+    """Every level marked converged is a level of the bare basis, solved
+    banded at a size it has been checked to converge at, over the domain."""
+
+    @settings(max_examples=40)
+    @given(log_omega=st.floats(min_value=math.log(0.05), max_value=math.log(60.0)),
+           eta=st.floats(min_value=0.0, max_value=12.0),
+           delta=st.floats(min_value=-20.0, max_value=20.0),
+           levels=st.sampled_from([1, 5, 10, 20, 40]))
+    # Corners of the domain; a walk that started below the reach of the
+    # levels certified wrong energies at the first two.
+    @example(log_omega=0.0, eta=12.0, delta=0.3, levels=10)
+    @example(log_omega=math.log(0.05), eta=12.0, delta=20.0, levels=10)
+    @example(log_omega=math.log(60.0), eta=12.0, delta=0.0, levels=40)
+    def test_converged_levels_match(self, log_omega, eta, delta, levels):
+        params = params_of(math.exp(log_omega), eta, delta)
+        try:
+            result = solve_spectrum(params, BasisSpec(levels_requested=levels))
+        except ConvergenceFailure as failure:
+            result = failure.result
+        energies = result.energies[result.converged]
+        oracle = bare_levels(params, levels)[result.converged]
+        assert np.all(np.abs(energies - oracle) <= 1e-9 * np.maximum(1.0, np.abs(oracle)))
+
+
 class TestIntegerDetuningOracle:
     """At an integer detuning δ = M the working-frame H is the asymmetric
     quantum Rabi model with bias ε = −M/2, whose levels cross exactly. Where
@@ -602,7 +628,7 @@ class TestPeakMemory:
 
     @staticmethod
     def traced_peak(monkeypatch, run):
-        monkeypatch.setattr(overlap, "_slot", (None, None))  # the walk builds its own table
+        monkeypatch.setattr(overlap, "_slot", {})  # the walk builds its own table
         tracemalloc.start()
         try:
             out = run()

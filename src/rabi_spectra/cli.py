@@ -18,8 +18,8 @@ then the manifest with that digest. A handler that raises leaves no file, and
 a failed write of either file leaves neither.
 
 Exit codes: 0 success, 2 invalid flags or parameters, 3 convergence
-failure, 4 initial state outside the converged span (evolve); the README
-lists the cases of each.
+failure, 4 initial state outside the whole truncated eigenbasis
+(evolve); the README lists each case.
 """
 
 from __future__ import annotations
@@ -404,11 +404,10 @@ def _rwa_payload(pairing: List[LevelPairing]) -> dict:
 
 def _solve_or_partial(args) -> Tuple[SpectralResult, int]:
     """Solve at the point and basis flags, or warn and fall back to the partial result, exit 3."""
-    try:
-        return solve_spectrum(_params_from_args(args), _basis_from_args(args)), 0
-    except ConvergenceFailure as failure:
+    (result, failure), = _sweep([_params_from_args(args)], _basis_from_args(args))
+    if failure is not None:
         print(f"warning: {failure}", file=sys.stderr)
-        return failure.result, 3
+    return result, 0 if failure is None else 3
 
 
 def _solve_summary(result: SpectralResult) -> dict:

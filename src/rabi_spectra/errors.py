@@ -41,4 +41,4 @@ class FrameMismatch(RabiSpectraError):
 
 
 class IncompleteBasis(RabiSpectraError):
-    """The initial state is not contained in the span of the converged eigenbasis."""
+    """The initial state leaks out of the span of the whole truncated eigenbasis."""

@@ -7,15 +7,14 @@ elements of a single displacement by 2g,
     ⟨m|D(β)|n⟩ = phase · sqrt(p!/q!) · |β|^α · e^(-|β|²/2) · L_p^(α)(|β|²),
 
 with p = min(m, n), q = max(m, n), α = q - p and L an associated Laguerre
-polynomial. One private function, ``_table``, makes every table: it
-holds the β = 0 case and the one finiteness check. Its kernel,
-``_displacement``, runs the Laguerre three-term recurrence upward in p,
-vectorised across all diagonals α at once and across a leading axis of
-β's, into a buffer that, read at another stride, is the upper triangle of
-each table; it scales, mirrors and phases each triangle on its own array,
-with no index plane or gather. Each step of the recurrence is elementwise
-(+, −, ×, ÷), so a table built in a batch is bitwise the table of its β
-built alone. The phase is
+polynomial. One private function, ``_hold``, builds every table: it holds
+the one finiteness check. Its kernel, ``_displacement``, runs the Laguerre
+three-term recurrence upward in p, vectorised across all diagonals α at
+once and across a leading axis of β's, into a buffer that, read at
+another stride, is the upper triangle of each table; it scales, mirrors
+and phases each triangle on its own array, with no index plane or gather.
+Each step of the recurrence is elementwise (+, −, ×, ÷), so a table built
+in a batch is bitwise the table of its β built alone. The phase is
 (β/|β|)^α below the diagonal (m >= n) and (-β*/|β|)^α above it, built by
 repeated multiplication so bases on the real or imaginary axis give exact
 ±1, ±i.
@@ -28,20 +27,21 @@ Each entry takes the same floating-point operations whatever the table
 size, so the table at truncation n is exactly the leading block of any
 larger one, and a scalar read of one entry agrees with the bulk table bit
 for bit. The module keeps one slot: the read-only tables of the last build,
-a dict {β: table} replaced whole. A request for a β of the slot at a
-truncation its table covers is served as a leading-block view. ``_table``
-builds any other request alone; ``_hold``, a sweep's request for the first
-tables of its next 8 walks, builds nothing if the slot covers them all and
-otherwise builds every one in one kernel call at the largest truncation
-asked. The finite tables of a build replace the slot. A solver walk asks
-for its second truncation (a walk always reaches it) before its first
-step. So an η sweep, whose points each have their own g, builds D(2g) once
-per 8 points, and again for a walk's third step (which drops the rest of
-the batch); a detuning sweep, whose points all share g, builds it only
-when a walk goes past the largest truncation so far. The slot holds
-(n+1)² doubles per table for real β (0.39 MB at n = 220), twice that for
-complex β, and 8 tables at most. Threads that share it may rebuild a table
-another thread just built, but never read one β's table for another.
+a dict {β: table} replaced whole. ``_table`` serves a β of the slot at a
+truncation its table covers as a leading-block view, and sends any other
+request to ``_hold``. ``_hold`` takes a list of (β, n), builds nothing if
+the slot covers them all, and otherwise builds every one in one kernel
+call at the largest n asked. A table not finite at its request's n raises
+and keeps the slot; the tables finite at the build size replace it. A
+solver walk asks for its second truncation (a walk always reaches it)
+before its first step, a sweep for those of its next 8 points. So an η
+sweep, whose points each have their own g, builds D(2g) once per 8
+points, and again for a walk's third step; a detuning sweep, whose points
+all share g, builds it only when a walk goes past the largest truncation
+so far. The slot holds (n+1)² doubles per table for real β (0.39 MB at
+n = 220), twice that for complex β, and 8 tables at most. Threads that
+share it may rebuild a table another thread just built, but never read
+one β's table for another.
 
 Every entry point reads the table of its β:
 
@@ -113,8 +113,7 @@ def _displacement(betas: Sequence[complex], n: int) -> List[np.ndarray]:
     array. Entry (i, j) must take the same floating-point operations for
     every n >= max(i, j): the bitwise scalar == bulk and nested-truncation
     guarantees rest on it. Out-of-range arguments overflow to inf/nan;
-    ``_table`` and ``_hold`` detect that, so the intermediate warnings are
-    suppressed here.
+    ``_hold`` detects that, so the intermediate warnings are suppressed here.
     """
     betas = [complex(beta) for beta in betas]
     radii = [abs(beta) for beta in betas]
@@ -176,13 +175,11 @@ _slot: Dict[complex, np.ndarray] = {}
 def _table(beta: complex, n: int) -> np.ndarray:
     """Read-only (n+1) x (n+1) table of ⟨m|D(β)|k⟩: real for real β, complex otherwise.
 
-    The one table function: a β that is not a finite number (real or
-    complex, not a bool or string) or a bad n raises InvalidParam before
-    any build, β = 0 gives the identity exactly, and a non-finite table
-    raises OverflowError and is not kept. The slot rule is in the module
-    docstring.
+    A β that is not a finite number (real or complex, not a bool or
+    string) or a bad n raises InvalidParam before any build, and β = 0
+    gives the identity exactly. Any other table is read from the slot,
+    which ``_hold`` fills on a miss and whose errors it raises.
     """
-    global _slot
     _check_index("n", n)
     _check_finite("beta", beta, complex_ok=True)
     beta = complex(beta)
@@ -191,37 +188,38 @@ def _table(beta: complex, n: int) -> np.ndarray:
         table.setflags(write=False)
         return table
     table = _slot.get(beta)
-    if table is not None and table.shape[0] > n:
-        return table[:n + 1, :n + 1]
-    table, = _displacement([beta], n)
-    if not np.all(np.isfinite(table)):
-        raise OverflowError(f"the table of D(beta) for beta={beta} at n={n} is not "
-                            "representable: its Laguerre values overflow (from n = 1020 at "
-                            "small |beta|; tested to n = 1650 at |beta| = 36)")
-    table.setflags(write=False)
-    _slot = {beta: table}
-    return table
+    if table is None or table.shape[0] <= n:
+        table = _hold([(beta, n)])[beta]
+    return table[:n + 1, :n + 1]
 
 
-def _hold(requests: Iterable[Tuple[complex, int]]) -> None:
-    """Keep a table for each (β, n) requested, β = 0 aside, by the slot rule.
+def _hold(requests: Iterable[Tuple[complex, int]]) -> Dict[complex, np.ndarray]:
+    """Keep a table for each (β, n) requested, β = 0 aside, by the slot rule; return the slot.
 
-    Never raises: a table that is not finite is not kept, and a later
-    ``_table`` request for it builds it alone and raises there.
+    A request whose table is not finite at its own n raises OverflowError
+    and leaves the slot as it was.
     """
     global _slot
     sizes: Dict[complex, int] = {}
     for beta, n in requests:
+        _check_finite("beta", beta, complex_ok=True)
         beta = complex(beta)
         if beta != 0:
             sizes[beta] = max(n, sizes.get(beta, 0))
     held = _slot
     if all(beta in held and held[beta].shape[0] > n for beta, n in sizes.items()):
-        return
-    tables = _displacement(list(sizes), max(sizes.values()))
-    for table in tables:
-        table.setflags(write=False)
-    _slot = {beta: table for beta, table in zip(sizes, tables) if np.all(np.isfinite(table))}
+        return held
+    kept = {}
+    for (beta, n), table in zip(sizes.items(), _displacement(list(sizes), max(sizes.values()))):
+        if np.all(np.isfinite(table)):
+            table.setflags(write=False)
+            kept[beta] = table
+        elif not np.all(np.isfinite(table[:n + 1, :n + 1])):
+            raise OverflowError(f"the table of D(beta) for beta={beta} at n={n} is not "
+                                "representable: its Laguerre values overflow (from n = 1020 at "
+                                "small |beta|; tested to n = 1650 at |beta| = 36)")
+    _slot = kept
+    return kept
 
 
 def displaced_overlap(m: int, n: int, g: float) -> float:

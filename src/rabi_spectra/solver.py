@@ -256,15 +256,14 @@ def _table_size(n_list: Sequence[int]) -> int:
 def _walk(params: ModelParams, n_list: Sequence[int], k: int) -> Iterator[_Step]:
     """Solve at each truncation in turn, each drift taken against the one before.
 
-    Before the first step the walk asks for the table of D(2g) at
-    ``_table_size(n_list)``. The call only fills the kept slot of
-    ``overlap._table`` (or finds the table a caller already put there);
-    every step up to that size then reads a leading block of that one
-    table, bitwise the table a build at its own size gives.
+    Before the first step the walk asks ``overlap._hold`` for the table of
+    D(2g) at ``_table_size(n_list)`` (a table a caller already put there
+    serves); every step up to that size then reads a leading block of that
+    one table, bitwise the table a build at its own size gives.
 
     It keeps only the previous energies, and drops each step before the next.
     """
-    _overlap._table(2.0 * params.g, _table_size(n_list))
+    _overlap._hold([(2.0 * params.g, _table_size(n_list))])
     energies = None
     for n in n_list:
         step = _solve_at(params, n, k, energies)
@@ -316,8 +315,8 @@ def _sweep(points: Sequence[ModelParams], basis: BasisSpec
     Before each run of ``_SWEEP_CHUNK`` points, ``overlap._hold`` builds the
     first table each of their walks asks for in one batched call; the walks
     then read those tables bitwise as they would build them. A table that
-    is not finite is not kept, and the walk of its point raises when it
-    builds it. A point that does not converge yields its partial result.
+    is not finite raises there. Only here does a ``ConvergenceFailure``
+    become a partial result, yielded with the failure.
     """
     for i in range(0, len(points), _SWEEP_CHUNK):
         chunk = points[i:i + _SWEEP_CHUNK]
@@ -345,7 +344,7 @@ def truncation_table(params: ModelParams, n_list: Sequence[int], levels: int) ->
     _check_index("levels", levels, low=1)
     if levels > 2 * (min(n_list) + 1):
         raise InvalidParam("levels", "exceeds the smallest problem dimension")
-    _overlap._table(2.0 * params.g, n_list[-1])  # one build serves every step
+    _overlap._hold([(2.0 * params.g, n_list[-1])])  # one build serves every step
     rows = []
     for step in _walk(params, n_list, levels):
         rows += [{"n": step.n, "level": i, "energy": float(step.energies[i]),

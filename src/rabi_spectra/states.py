@@ -259,7 +259,7 @@ def evolve(initial: QuantumState, result: "SpectralResult", t: float) -> Quantum
     time is in inverse trap-frequency units. Raises :class:`DomainError`
     unless ``t`` is a finite real number (not a bool or string) whose largest
     phase max|E|·|t| is a finite float, and :class:`IncompleteBasis` if the
-    initial state is not contained in the converged span to 1e-8.
+    state leaks over 1e-8 out of the whole truncated eigenbasis.
     """
     if not _is_finite_number(t):
         raise DomainError(_BAD_TIME)

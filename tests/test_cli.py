@@ -105,17 +105,36 @@ class TestSpectrum:
         digest = hashlib.sha256(read_bytes(out)).hexdigest()
         assert manifest["outputs"]["spec.csv"] == digest
 
-    def test_convergence_failure_partial_output(self, tmp_path):
+    def test_convergence_failure_partial_output(self, tmp_path, capsys):
         out = str(tmp_path / "partial.csv")
         code = run(["spectrum", "--omega", "1", "--eta", "0.8", "--delta", "0",
                     "--levels", "2", "--n-start", "2", "--n-step", "1",
                     "--n-max-hard", "4", "--out", out])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("warning: not converged") and err.count("\n") == 1
         header, rows = read_csv(out)
         converged = [r[header.index("converged")] for r in rows]
         assert "false" in converged
         manifest = json.loads(read_bytes(out + ".manifest.json"))
         assert not all(manifest["converged"])
+
+    @pytest.mark.parametrize("point", [("1", "0.4137", "0"), ("2", "0.3", "0.5")])
+    @pytest.mark.parametrize("param", ["eta", "delta"])
+    def test_matches_one_point_sweep(self, tmp_path, point, param):
+        # spectrum and a one-point sweep solve through the same path: their
+        # energies and parities are the same text.
+        values = dict(zip(("omega", "eta", "delta"), point))
+        spec, sweep = str(tmp_path / "spec.csv"), str(tmp_path / "sw.csv")
+        assert run(["spectrum", *(f"--{k}={v}" for k, v in values.items()), "--out", spec]) == 0
+        fixed = [f"--{k}={v}" for k, v in values.items() if k != param]
+        assert run(["sweep", "--param", param, f"--from={values[param]}",
+                    f"--to={values[param]}", "--steps", "1", *fixed, "--out", sweep]) == 0
+        columns = []
+        for path in (spec, sweep):
+            header, rows = read_csv(path)
+            columns.append([(r[header.index("energy")], r[header.index("parity")]) for r in rows])
+        assert columns[0] == columns[1]
 
     def test_manifest_records_truncations(self, tmp_path):
         # The lowest ten levels reach (6 + √10)² ≈ 84 quanta at η = 6, so the
@@ -836,13 +855,14 @@ class TestExitContract:
         assert "the table of D(beta) for beta=(38+0j) at n=400" in err
         assert "|beta| = 36" in err and "displacement_matrix" not in err
 
-    def test_sweep_table_overflow(self, tmp_path, capsys):
-        # The batched build drops the tables that overflow; the point's own
-        # solve then builds its table alone and reports it.
+    def test_sweep_table_overflow(self, tmp_path, capsys, table_builds):
+        # The batched build raises at the first request whose table overflows,
+        # so the sweep builds once and solves no point.
         err = self.assert_rejected(["sweep", "--param", "eta", "--from", "0", "--to", "80",
                                     "--steps", "3", "--omega", "1", "--delta", "0",
                                     "--out", str(tmp_path / "sw.csv")], tmp_path, capsys)
         assert "the table of D(beta) for beta=(40+0j) at n=400 is not representable" in err
+        assert table_builds == [400]
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--omega", "1", "--eta", "38", "--delta", "0"], "beta=(38+0j) at n=400"),

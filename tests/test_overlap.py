@@ -483,24 +483,32 @@ class TestTableSlot:
            past_edge=st.booleans())
     def test_batched_build_is_fresh(self, betas, n, past_edge):
         # One kernel call builds every table; each is bitwise the table of its
-        # β built alone. β = 38 is finite up to n = 326 only: at n = 400 it
-        # drops out of the batch, which is then built at n = 400 and read at n.
+        # β built alone. β = 38 is finite up to n = 326 only: a batch that asks
+        # for it at n = 400 raises at that request and keeps the slot it found.
         overlap._slot = {}
-        requests = [(beta, n) for beta in betas] + [(38.0, 400)] * past_edge
+        requests = [(beta, n) for beta in betas]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             overlap._hold(requests)
-        slot = overlap._slot
+            slot = overlap._slot
+            if past_edge:
+                with pytest.raises(OverflowError, match=r"beta=\(38\+0j\) at n=400 is not "
+                                   r"representable: .*tested to n = 1650 at \|beta\| = 36\)"):
+                    overlap._hold(requests + [(38.0, 400)])
+        assert overlap._slot is slot
         assert set(slot) == {complex(beta) for beta in betas if beta != 0}
         for beta in betas:
             assert overlap._table(beta, n).tobytes() == _fresh(beta, n).tobytes()
         assert overlap._slot is slot  # every table was served from the batch
-        if past_edge:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(OverflowError, match=r"beta=\(38\+0j\) at n=400 is not "
-                                   r"representable: .*tested to n = 1650 at \|beta\| = 36\)"):
-                    overlap._table(38.0, 400)
+
+    def test_batch_drops_table_past_build_size(self, table_builds):
+        # β = 38 is finite at its own n = 300 but not at the build size 400:
+        # the batch keeps only β = 1, and a later request builds β = 38 alone.
+        overlap._hold([(38.0, 300), (1.0, 400)])
+        assert table_builds == [400] and list(overlap._slot) == [1.0]
+        table = overlap._table(38.0, 300)
+        assert table_builds == [400, 300]
+        assert table.tobytes() == _fresh(38.0, 300).tobytes()
 
     def test_batch_keeps_held_tables(self, table_builds):
         # A request the slot covers builds nothing and keeps the held tables.

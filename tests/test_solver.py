@@ -161,9 +161,8 @@ class TestSolveSpectrum:
         g = 0.1
         perturbative = g * g - 0.5 - g * g / 2.0
         assert abs(result.energies[0] - perturbative) < 1e-3
-        # dense bare-basis oracle
-        oracle = np.linalg.eigvalsh(
-            build_bare_rabi_hamiltonian(params_of(1, 0.2, 0), 200))[0]
+        # banded bare-basis oracle
+        oracle = bare_levels(params_of(1, 0.2, 0), 1)[0]
         assert abs(result.energies[0] - oracle) < 1e-8
 
     def test_truncation_plateau(self):
@@ -380,11 +379,10 @@ _STRONG_CAPS = {12.0: 400, 14.0: 400, 20.0: 800}
 
 @pytest.fixture(scope="module", params=sorted(_STRONG_CAPS))
 def strong_point(request):
-    """(η, lowest ten bare-basis energies at n = 400) at Ω = 1, δ = 0.3; the
-    bare basis is converged to ~1e-12 there and is diagonalized once."""
+    """(η, lowest ten bare-basis energies from ``bare_levels``) at Ω = 1, δ = 0.3,
+    solved once per η."""
     eta = request.param
-    h = build_bare_rabi_hamiltonian(params_of(1.0, eta, 0.3), 400)
-    return eta, np.linalg.eigvalsh(h)[:10]
+    return eta, bare_levels(params_of(1.0, eta, 0.3), 10)
 
 
 class TestLargeCoupling:

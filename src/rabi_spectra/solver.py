@@ -316,7 +316,8 @@ def _sweep(points: Sequence[ModelParams], basis: BasisSpec
     first table each of their walks asks for in one batched call; the walks
     then read those tables bitwise as they would build them. A table that
     is not finite raises there. Only here does a ``ConvergenceFailure``
-    become a partial result, yielded with the failure.
+    become a partial result, yielded with the failure; the CLI's point
+    commands solve through a one-point call.
     """
     for i in range(0, len(points), _SWEEP_CHUNK):
         chunk = points[i:i + _SWEEP_CHUNK]

@@ -958,10 +958,13 @@ class TestExitContract:
 
     def test_spectrum_truncation_cap(self, tmp_path, capsys, monkeypatch):
         # Without the cap the solve allocates a dense (n+1)² table at n = 10**5.
+        # The point's table is asked for through overlap._hold before any solve.
         def unreachable(*args, **kwargs):
             raise AssertionError("solve reached past the truncation cap")
 
-        monkeypatch.setattr(cli, "solve_spectrum", unreachable)
+        for module, name in [(cli, "solve_spectrum"), (solver, "solve_spectrum"),
+                             (overlap, "_hold")]:
+            monkeypatch.setattr(module, name, unreachable)
         self.assert_rejected(["spectrum", "--omega", "1", "--eta", "0.2", "--delta", "0",
                               "--n-start", "100000", "--n-max-hard", "100000",
                               "--out", str(tmp_path / "spec.csv")], tmp_path, capsys)
